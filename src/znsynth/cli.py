@@ -310,7 +310,7 @@ def _require(ns, field: str) -> None:
 
 
 def cmd_phi_stats(ns) -> int:
-    if ns.trials:
+    if ns.trials is not None:
         if ns.tail_a is None or ns.size is None or ns.grid is None:
             raise ValueError("tail mode needs --grid, --size, and --tail-a")
         report = hayes_tail_experiment(

@@ -25,10 +25,14 @@ from .lattice import GridPoint, GridShape, all_coords, decode
 from .rng import as_generator, run_indexed, spawn_generators
 
 
-def random_set(shape: GridShape, size: int, seed) -> FreqSet:
-    """A uniformly distributed size-subset of the grid, deterministic in seed."""
+def _check_size(shape: GridShape, size: int) -> None:
     if not 1 <= size <= shape.size:
         raise ValueError(f"size must be in [1, {shape.size}], got {size}")
+
+
+def random_set(shape: GridShape, size: int, seed) -> FreqSet:
+    """A uniformly distributed size-subset of the grid, deterministic in seed."""
+    _check_size(shape, size)
     rng = as_generator(seed)
     members = rng.choice(shape.size, size=size, replace=False)
     return FreqSet(shape, members)
@@ -49,18 +53,24 @@ class PhiStat:
     set_size: int
 
 
-def _exponential_sums(S: FreqSet) -> np.ndarray:
-    """|sum_{x in S} e^(-2*pi*i*x.m/N)| for every m, flat."""
-    grid = S.indicator().reshape(S.shape.axes)
-    return np.abs(np.fft.fftn(grid)).reshape(-1)
+def _exponential_sums(shape: GridShape, indicators: np.ndarray) -> np.ndarray:
+    """|sum_{x in S} e^(-2*pi*i*x.m/N)| for every m, one flat row per indicator row.
+
+    The principal character m = 0 reads -1, so a row's maximum is its phi.
+    """
+    rows = indicators.shape[0]
+    grids = indicators.reshape((rows,) + shape.axes)
+    axes = tuple(range(1, shape.dim + 1))
+    sums = np.abs(np.fft.fftn(grids, axes=axes)).reshape(rows, -1)
+    sums[:, 0] = -1.0
+    return sums
 
 
 def phi(S: FreqSet) -> PhiStat:
     """Exact peak coefficient over all nonzero frequencies."""
     if S.size == 0:
         raise ValueError("phi requires a non-empty set")
-    sums = _exponential_sums(S)
-    sums[0] = -1.0  # exclude the principal character
+    sums = _exponential_sums(S.shape, S.indicator()[None])[0]
     idx = int(np.argmax(sums))
     return PhiStat(phi=float(sums[idx]), arg_max=decode(idx, S.shape), set_size=S.size)
 
@@ -68,6 +78,12 @@ def phi(S: FreqSet) -> PhiStat:
 def hayes_tail_bound(n_points: int, set_size: int, a: float) -> float:
     """Large-deviation tail bound 2 * n * e^2 * exp(-a^2/|S|), not clamped."""
     return 2.0 * n_points * math.e**2 * math.exp(-(a**2) / set_size)
+
+
+# Grid points per batched FFT in the tail experiment: large enough that
+# a block's FFT outweighs its Python bookkeeping, small enough (1 MB of
+# complex values) to leave --workers several blocks to share out.
+TAIL_BLOCK_POINTS = 65536
 
 
 @dataclass(frozen=True)
@@ -97,20 +113,29 @@ def hayes_tail_experiment(
 ) -> TailReport:
     """Fraction of random size-sets with phi >= a, checked against the tail bound.
 
-    Each trial draws from its own spawned RNG stream, so the result is a
-    function of (seed, parameters) only, regardless of worker count.
-    Raises BoundViolation if the empirical fraction exceeds the bound plus
-    three binomial standard deviations.
+    Each trial draws from its own spawned RNG stream, and the trials are
+    scored in blocks of consecutive indices whose partition depends on
+    (shape, trials) only, so the result is a function of (seed,
+    parameters) regardless of worker count.  Raises BoundViolation if the
+    empirical fraction exceeds the bound plus three binomial standard
+    deviations.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_size(shape, size)
     rngs = spawn_generators(seed, trials)
+    block = max(1, TAIL_BLOCK_POINTS // shape.size)
+    starts = range(0, trials, block)
 
-    def one(i: int) -> bool:
-        return phi(random_set(shape, size, rngs[i])).phi >= a
+    def hits_in(b: int) -> int:
+        indices = range(starts[b], min(starts[b] + block, trials))
+        indicators = np.zeros((len(indices), shape.size))
+        for row, i in enumerate(indices):
+            indicators[row, rngs[i].choice(shape.size, size=size, replace=False)] = 1.0
+        peaks = _exponential_sums(shape, indicators).max(axis=1)
+        return int(np.count_nonzero(peaks >= a))
 
-    hits = run_indexed(one, trials, workers=workers)
-    empirical = sum(hits) / trials
+    empirical = sum(run_indexed(hits_in, len(starts), workers=workers)) / trials
     bound = min(1.0, hayes_tail_bound(shape.size, size, a))
     slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
     report = TailReport(
@@ -301,22 +326,46 @@ def empirical_lambda_constant(
     probes = rng.standard_normal((trials, S.size))
     if include_flat_probe:
         probes = np.vstack([np.ones((1, S.size)), probes])
-    return _probe_max_ratio(S, p, probes)
+    return float(_probe_max_ratio(S.shape, p, S.members[None], probes)[0])
 
 
-def _probe_max_ratio(S: FreqSet, p: float, probes: np.ndarray) -> float:
-    """max over probe rows of the normalized ratio above."""
-    shape = S.shape
-    rows = probes.shape[0]
-    full = np.zeros((rows, shape.size), dtype=np.complex128)
-    full[:, S.members] = probes
-    grids = full.reshape((rows,) + shape.axes)
-    sums = np.fft.ifftn(grids, axes=tuple(range(1, shape.dim + 1))) * shape.size
-    mags = np.abs(sums).reshape(rows, -1)
-    norms = np.sum(mags**p, axis=1) ** (1.0 / p)
+# Grid points per batched inverse FFT of the probe ratios (4 MB of complex
+# values): bounds memory on large grids, where scoring every swap
+# candidate at once would take hundreds of MB, while keeping the calls
+# per swap position few.
+PROBE_BLOCK_POINTS = 1 << 18
+
+
+def _probe_max_ratio(
+    shape: GridShape, p: float, members: np.ndarray, probes: np.ndarray
+) -> np.ndarray:
+    """Per row of members, max over probe rows of the normalized ratio above.
+
+    members is (sets, |S|) with each row sorted ascending; probe column j
+    is the coefficient of a row's j-th smallest member.
+    """
+    rows, width = probes.shape
+    step = max(1, PROBE_BLOCK_POINTS // (rows * shape.size))
     denom = np.linalg.norm(probes, axis=1)
-    ratios = shape.size ** (-1.0 / p) * norms / denom
-    return float(ratios.max())
+    out = np.empty(members.shape[0])
+    for lo in range(0, members.shape[0], step):
+        block = members[lo:lo + step]
+        sets = block.shape[0]
+        full = np.zeros((sets, rows, shape.size), dtype=np.complex128)
+        np.put_along_axis(
+            full, np.broadcast_to(block[:, None, :], (sets, rows, width)),
+            probes[None], axis=2,
+        )
+        # in place (out= needs numpy >= 2.0): a fresh array per step costs
+        # more than the FFT here
+        grids = full.reshape((sets * rows,) + shape.axes)
+        sums = np.fft.ifftn(grids, axes=tuple(range(1, shape.dim + 1)), out=grids)
+        sums *= shape.size
+        mags = np.abs(sums).reshape(sets, rows, -1)
+        norms = np.sum(np.power(mags, p, out=mags), axis=2) ** (1.0 / p)
+        ratios = shape.size ** (-1.0 / p) * norms / denom
+        out[lo:lo + sets] = ratios.max(axis=1)
+    return out
 
 
 def lambda_p_search(
@@ -334,16 +383,17 @@ def lambda_p_search(
     Each of `budget` restarts draws a start set and a fixed probe matrix
     from its own spawned stream, then hill-descends by single-element
     swaps (best replacement per position, at most `max_swaps` sampled
-    candidates per position) until no swap improves.  The best restart
-    wins; ties break toward the lower restart index, so the output is a
-    function of (seed, parameters) only.
+    candidates per position, all scored in one batched call) until no
+    swap improves.  The best restart wins; ties break toward the lower
+    restart index, so the output is a function of (seed, parameters) only.
     """
     if p == math.inf or p <= 2:
         raise ValueError(f"requires finite p > 2, got {p}")
-    if not 1 <= size <= shape.size:
-        raise ValueError(f"size must be in [1, {shape.size}], got {size}")
+    _check_size(shape, size)
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if max_swaps < 0:
+        raise ValueError("max_swaps must be >= 0")
     rngs = spawn_generators(seed, budget)
 
     def one_restart(r: int) -> tuple[float, np.ndarray]:
@@ -353,11 +403,9 @@ def lambda_p_search(
             [np.ones((1, size)), rng.standard_normal((trials, size))]
         )
 
-        def evaluate(mem: np.ndarray) -> float:
-            return _probe_max_ratio(FreqSet(shape, mem), p, probes)
-
-        best = evaluate(members)
-        improved = True
+        best = float(_probe_max_ratio(shape, p, members[None], probes)[0])
+        # no candidates when the grid is full or max_swaps is 0
+        improved = min(max_swaps, shape.size - size) > 0
         while improved:
             improved = False
             for pos in range(size):
@@ -366,18 +414,16 @@ def lambda_p_search(
                     outside = np.sort(
                         rng.choice(outside, size=max_swaps, replace=False)
                     )
-                trial_members = members.copy()
-                best_swap = None
-                for cand in outside:
-                    trial_members[pos] = cand
-                    value = evaluate(np.sort(trial_members))
-                    if value < best - 1e-12 and (
-                        best_swap is None or value < best_swap[0]
-                    ):
-                        best_swap = (value, int(cand))
-                if best_swap is not None:
-                    best = best_swap[0]
-                    members[pos] = best_swap[1]
+                trial_members = np.repeat(members[None], outside.size, axis=0)
+                trial_members[:, pos] = outside
+                trial_members.sort(axis=1)
+                values = _probe_max_ratio(shape, p, trial_members, probes)
+                # argmin takes the first of equal values, as an in-order
+                # scan accepting only a strict improvement would
+                k = int(np.argmin(values))
+                if values[k] < best - 1e-12:
+                    best = float(values[k])
+                    members[pos] = outside[k]
                     members = np.sort(members)
                     improved = True
         return best, members

@@ -75,7 +75,10 @@ def _values_to_pairs(values: np.ndarray) -> list[list[float]]:
 
 
 def _pairs_to_values(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    try:
+        return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    except TypeError as exc:
+        raise ValueError(f"malformed values entry: {exc}") from exc
 
 
 def signal_to_doc(f: Signal | Spectrum) -> dict:
@@ -143,9 +146,12 @@ def problem_from_doc(doc: dict) -> RecoveryProblem:
     shape = GridShape(modulus=int(doc["grid"]["N"]), dim=int(doc["grid"]["d"]))
     hidden = FreqSet.from_indices(shape, (int(m) for m in doc["hidden"]))
     values = np.zeros(shape.size, dtype=np.complex128)
-    for i, entry in enumerate(doc["observed"]):
-        if entry is not None:
-            values[i] = complex(entry[0], entry[1])
+    try:
+        for i, entry in enumerate(doc["observed"]):
+            if entry is not None:
+                values[i] = complex(entry[0], entry[1])
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"malformed observed entry: {exc}") from exc
     problem = RecoveryProblem(
         shape=shape,
         observed=Spectrum(shape, values),

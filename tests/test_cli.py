@@ -162,6 +162,27 @@ class TestErrorPaths:
     def test_missing_required_flag(self):
         assert run(["sweep", "--grid-range", "8..16"]) == 2
 
+    def test_zero_trials_is_usage_error(self, capsys):
+        assert run(["phi-stats", "--grid", "64x1", "--size", "16",
+                    "--tail-a", "8", "--trials", "0"]) == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [["a", 0], None])
+    def test_malformed_values_entry_is_usage_error(self, tmp_path, bad):
+        doc = {"modulus": 4, "dim": 1, "domain": "space",
+               "values": [bad, [0, 0], [0, 0], [0, 0]]}
+        src = tmp_path / "f.json"
+        src.write_text(json.dumps(doc))
+        assert run(["transform", "--input", str(src),
+                    "--output", str(tmp_path / "F.json")]) == 2
+
+    def test_malformed_observed_entry_is_usage_error(self, tmp_path):
+        doc = {"grid": {"N": 4, "d": 1}, "p": 1.5, "delta": 1.0, "hidden": [0],
+               "observed": [None, "x", [0, 0], [0, 0]]}
+        src = tmp_path / "problem.json"
+        src.write_text(json.dumps(doc))
+        assert run(["recover", "--problem-file", str(src), "--no-oracle"]) == 2
+
     def test_support_violation_is_usage_error(self, tmp_path):
         # signal with full spectrum, set too small
         s, f = tmp_path / "s.json", tmp_path / "f.json"

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from znsynth import constructions
 from znsynth.constructions import (
     SubspaceSpec,
     empirical_lambda_constant,
@@ -23,6 +24,7 @@ from znsynth.errors import SamplingBudgetExceeded
 from znsynth.fourier import FreqSet, forward, indicator_spectrum, support
 from znsynth.inequalities import dual_exponent, lp_norm, verify_indicator_bound
 from znsynth.lattice import GridShape, encode, negate_indices
+from znsynth.rng import spawn_generators
 
 
 class TestRandomSet:
@@ -115,6 +117,11 @@ class TestHayesTail:
         report = hayes_tail_experiment(GridShape(16, 1), 4, a=4.5, trials=50, seed=0)
         assert report.empirical == 0.0
 
+    @pytest.mark.parametrize("size", [0, 26])
+    def test_size_range(self, size):
+        with pytest.raises(ValueError):
+            hayes_tail_experiment(GridShape(5, 2), size, a=1.0, trials=4, seed=0)
+
     def test_bound_formula(self):
         assert hayes_tail_bound(64, 16, 8.0) == pytest.approx(
             2 * 64 * math.e**2 * math.exp(-64 / 16)
@@ -126,6 +133,16 @@ class TestHayesTail:
         )
         assert report.passed
         assert 0.0 <= report.empirical <= 1.0
+
+    # Pinned from the one-FFT-per-trial implementation; the batched blocks
+    # must reproduce it exactly.  The 64x1 case ends on a partial block.
+    @pytest.mark.parametrize("args, workers, expected", [
+        ((GridShape(32, 2), 16, 12.0, 300, 3), 1, 0.023333333333333334),
+        ((GridShape(64, 1), 16, 16**0.75, 257, 5), 2, 0.16342412451361868),
+        ((GridShape(4, 3), 5, 4.0, 97, 2), 3, 0.7628865979381443),
+    ])
+    def test_golden_empirical(self, args, workers, expected):
+        assert hayes_tail_experiment(*args, workers=workers).empirical == expected
 
     def test_worker_count_does_not_change_result(self):
         kwargs = dict(shape=GridShape(32, 1), size=8, a=5.0, trials=64, seed=11)
@@ -299,6 +316,42 @@ class TestLambdaMachinery:
         assert a.empirical_constant == b.empirical_constant
         assert np.array_equal(a.set.members, c.set.members)
         assert a.empirical_constant == c.empirical_constant
+
+    # Pinned from the one-FFT-per-candidate implementation; scoring a swap
+    # position in one batch must reproduce it exactly.
+    @pytest.mark.parametrize("kwargs, members, constant", [
+        (dict(shape=GridShape(64, 1), size=8, p=4.0, budget=4, seed=7),
+         [1, 8, 12, 21, 24, 26, 27, 55], 1.1798055308852835),
+        (dict(shape=GridShape(8, 2), size=5, p=3.0, budget=2, seed=1, trials=16,
+              workers=2),
+         [16, 37, 56, 57, 59], 1.0791989858836675),
+    ])
+    def test_search_golden(self, kwargs, members, constant):
+        cand = lambda_p_search(**kwargs)
+        assert cand.set.members.tolist() == members
+        assert cand.empirical_constant == constant
+
+    def test_search_without_swaps_returns_a_start_set(self):
+        # pinned from the one-FFT-per-candidate implementation, where an
+        # empty candidate list left each restart's start set unchanged
+        shape = GridShape(64, 1)
+        cand = lambda_p_search(shape, 8, 4.0, budget=3, seed=7, max_swaps=0)
+        starts = [np.sort(g.choice(shape.size, size=8, replace=False)).tolist()
+                  for g in spawn_generators(7, 3)]
+        assert cand.set.members.tolist() == [3, 12, 17, 36, 39, 46, 49, 55]
+        assert cand.set.members.tolist() in starts
+        assert cand.empirical_constant == 1.2289754866144895
+        with pytest.raises(ValueError):
+            lambda_p_search(shape, 8, 4.0, budget=3, seed=7, max_swaps=-1)
+
+    def test_probe_blocks_do_not_change_result(self, monkeypatch):
+        kwargs = dict(shape=GridShape(32, 1), size=6, p=4.0, budget=2, seed=8,
+                      trials=16)
+        a = lambda_p_search(**kwargs)
+        monkeypatch.setattr(constructions, "PROBE_BLOCK_POINTS", 1)
+        b = lambda_p_search(**kwargs)
+        assert np.array_equal(a.set.members, b.set.members)
+        assert a.empirical_constant == b.empirical_constant
 
     def test_certified_constant_passes_indicator_check(self):
         cand = lambda_p_search(GridShape(32, 1), 6, 4.0, budget=2, seed=5, trials=32)
