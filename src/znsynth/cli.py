@@ -263,8 +263,7 @@ def cmd_construct(ns) -> int:
         write_json(ns.out, set_to_doc(S))
         print(f"wrote {ns.out} (|S| = {S.size})")
     elif ns.kind == "subspace":
-        if ns.axes is None:
-            raise ValueError("--axes is required for --kind subspace")
+        _require(ns, "axes")
         H, H_perp = subspace_pair(shape, SubspaceSpec(axes=ns.axes))
         write_json(ns.out, set_to_doc(H))
         print(f"wrote {ns.out} (|H| = {H.size})")
@@ -294,8 +293,7 @@ def cmd_construct(ns) -> int:
             f"after {found.draws} draws)"
         )
     elif ns.kind == "normalized-signal":
-        if not ns.set_file:
-            raise ValueError("--set-file is required for --kind normalized-signal")
+        _require(ns, "set_file")
         S = set_from_doc(load_json(ns.set_file))
         write_json(ns.out, signal_to_doc(normalized_indicator_signal(S)))
         print(f"wrote {ns.out}")
@@ -304,15 +302,16 @@ def cmd_construct(ns) -> int:
     return EXIT_OK
 
 
-def _require(ns, field: str) -> None:
-    if getattr(ns, field, None) is None:
-        raise ValueError(f"--{field.replace('_', '-')} is required for this mode")
+def _require(ns, *fields: str) -> None:
+    """Raise ValueError naming each of the flags that was not given."""
+    missing = [f"--{f.replace('_', '-')}" for f in fields if getattr(ns, f) is None]
+    if missing:
+        raise ValueError("missing required flag(s): " + ", ".join(missing))
 
 
 def cmd_phi_stats(ns) -> int:
     if ns.trials is not None:
-        if ns.tail_a is None or ns.size is None or ns.grid is None:
-            raise ValueError("tail mode needs --grid, --size, and --tail-a")
+        _require(ns, "grid", "size", "tail_a")
         report = hayes_tail_experiment(
             ns.grid, ns.size, ns.tail_a, ns.trials, ns.seed, workers=ns.workers
         )
@@ -391,8 +390,7 @@ def cmd_recover(ns) -> int:
     if ns.problem_file:
         problem = problem_from_doc(load_json(ns.problem_file))
     else:
-        _require(ns, "grid")
-        _require(ns, "hidden_size")
+        _require(ns, "grid", "hidden_size")
         alphabet = ns.alphabet or (0.0, 1.0)
         ns.alphabet = alphabet
         problem, truth = random_instance(
@@ -476,11 +474,12 @@ def _append_recovery_row(ns, problem, result, exact) -> None:
 def cmd_sweep(ns) -> int:
     dim = ns.dim
     sizes = ns.grid_range
+    if ns.alpha <= 0:
+        raise ValueError(f"--alpha must be positive, got {ns.alpha}")
     if ns.p_mode == "critical":
         p = 2.0 * dim / ns.alpha
     else:
-        if ns.p is None:
-            raise ValueError("--p is required with --p-mode fixed")
+        _require(ns, "p")
         p = ns.p
     rngs = spawn_generators(ns.seed, len(sizes))
 
@@ -535,13 +534,13 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = add("transform")
-    sp.add_argument("--input", required=False, help="input JSON document")
-    sp.add_argument("--output", required=False, help="output JSON document")
+    sp.add_argument("--input", help="input JSON document")
+    sp.add_argument("--output", help="output JSON document")
     sp.add_argument("--direction", choices=["forward", "inverse"], default="forward")
     sp.set_defaults(func=cmd_transform)
 
     sp = add("verify")
-    sp.add_argument("--which", choices=[SUPPORT_SIZE, INDICATOR_DUAL], required=False)
+    sp.add_argument("--which", choices=[SUPPORT_SIZE, INDICATOR_DUAL])
     sp.add_argument("--grid", type=parse_grid, help="optional consistency check, 'NxD'")
     sp.add_argument("--p", type=parse_exponent, default=2.0)
     sp.add_argument("--signal-file")
@@ -553,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--kind",
         choices=["random", "subspace", "flat", "small-norm", "normalized-signal"],
-        required=False,
     )
     sp.add_argument("--grid", type=parse_grid)
     sp.add_argument("--size", type=int)
@@ -579,9 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_phi_stats)
 
     sp = add("lambda-search")
-    sp.add_argument("--grid", type=parse_grid, required=False)
-    sp.add_argument("--size", type=int, required=False)
-    sp.add_argument("--p", type=parse_exponent, required=False)
+    sp.add_argument("--grid", type=parse_grid)
+    sp.add_argument("--size", type=int)
+    sp.add_argument("--p", type=parse_exponent)
     sp.add_argument("--budget", type=int, default=4, help="random restarts")
     sp.add_argument("--trials", type=int, default=64, help="coefficient probes")
     sp.add_argument("--workers", type=int, default=1)
@@ -604,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_recover)
 
     sp = add("sweep")
-    sp.add_argument("--alpha", type=float, required=False)
+    sp.add_argument("--alpha", type=float)
     sp.add_argument("--p-mode", choices=["critical", "fixed"], default="critical")
     sp.add_argument("--p", type=parse_exponent)
     sp.add_argument("--grid-range", type=parse_range, help="'8..128' doubles N")
@@ -617,13 +615,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags every mode of a command needs; argparse's required=True would stop
+# --explain from working without them.
 REQUIRED = {
     "transform": ["input", "output"],
     "verify": ["which", "signal_file", "set_file"],
     "construct": ["kind", "grid", "out"],
-    "phi-stats": [],
     "lambda-search": ["grid", "size", "p"],
-    "recover": [],
     "sweep": ["alpha", "grid_range"],
 }
 
@@ -635,9 +633,7 @@ def main(argv=None) -> int:
         print(EXPLANATIONS[ns.command])
         return EXIT_OK
     try:
-        for field in REQUIRED[ns.command]:
-            if getattr(ns, field, None) is None:
-                raise ValueError(f"--{field.replace('_', '-')} is required")
+        _require(ns, *REQUIRED.get(ns.command, ()))
         return ns.func(ns)
     except (BoundViolation, SamplingBudgetExceeded) as exc:
         print(f"check failed: {exc}", file=sys.stderr)

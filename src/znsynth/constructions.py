@@ -305,9 +305,7 @@ class LambdaCandidate:
     seed: int
 
 
-def empirical_lambda_constant(
-    S: FreqSet, p: float, trials: int, seed, include_flat_probe: bool = True
-) -> float:
+def empirical_lambda_constant(S: FreqSet, p: float, trials: int, seed) -> float:
     """Worst normalized-norm ratio of random exponential sums on S.
 
     For coefficient vectors a, measures
@@ -323,9 +321,7 @@ def empirical_lambda_constant(
     if S.size == 0:
         raise ValueError("empirical constant requires a non-empty set")
     rng = as_generator(seed)
-    probes = rng.standard_normal((trials, S.size))
-    if include_flat_probe:
-        probes = np.vstack([np.ones((1, S.size)), probes])
+    probes = np.vstack([np.ones((1, S.size)), rng.standard_normal((trials, S.size))])
     return float(_probe_max_ratio(S.shape, p, S.members[None], probes)[0])
 
 

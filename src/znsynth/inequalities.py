@@ -73,9 +73,9 @@ def bound_holds(lhs: float, rhs: float) -> bool:
     return lhs <= rhs + max(BOUND_RTOL * rhs, BOUND_ATOL)
 
 
-def _require_support(f: Signal, S: FreqSet, support_rtol: float) -> Spectrum:
+def _require_support(f: Signal, S: FreqSet) -> Spectrum:
     F = forward(f)
-    supp = support(F, rtol=support_rtol)
+    supp = support(F)
     outside = np.setdiff1d(supp.members, S.members)
     if outside.size:
         shown = ", ".join(str(int(i)) for i in outside[:8])
@@ -100,9 +100,7 @@ def _report(which: str, f: Signal, S: FreqSet, p: float, lhs: float, rhs: float)
     )
 
 
-def verify_support_bound(
-    f: Signal, S: FreqSet, p: float, support_rtol: float = 1e-9
-) -> InequalityReport:
+def verify_support_bound(f: Signal, S: FreqSet, p: float) -> InequalityReport:
     """Measure ||f||_inf against sqrt(|S|/N^(2d/p)) * ||f||_p.
 
     Requires supp(f_hat) inside S (checked numerically) and finite p >= 1.
@@ -118,7 +116,7 @@ def verify_support_bound(
         raise ValueError("support-size bound requires finite p")
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    _require_support(f, S, support_rtol)
+    _require_support(f, S)
     shape = f.shape
     lhs = lp_norm(f, math.inf)
     coeff = math.sqrt(S.size / shape.modulus ** (2 * shape.dim / p))
@@ -126,16 +124,14 @@ def verify_support_bound(
     return _report(SUPPORT_SIZE, f, S, p, lhs, rhs)
 
 
-def verify_indicator_bound(
-    f: Signal, S: FreqSet, p: float, support_rtol: float = 1e-9
-) -> InequalityReport:
+def verify_indicator_bound(f: Signal, S: FreqSet, p: float) -> InequalityReport:
     """Measure ||f||_inf against N^(-d/2) * ||f||_p * ||1S_hat||_p'.
 
     Requires supp(f_hat) inside S; p may be any element of [1, inf].
     """
     if p != math.inf and p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    _require_support(f, S, support_rtol)
+    _require_support(f, S)
     shape = f.shape
     lhs = lp_norm(f, math.inf)
     rhs = (

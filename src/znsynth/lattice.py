@@ -50,12 +50,6 @@ class GridShape:
         return f"{self.modulus}x{self.dim}"
 
 
-def reduce_point(p: GridPoint, shape: GridShape) -> GridPoint:
-    """Reduce every coordinate modulo N."""
-    _check_dim(p, shape)
-    return tuple(int(c) % shape.modulus for c in p)
-
-
 def encode(p: GridPoint, shape: GridShape) -> int:
     """Row-major linear index of a point (last coordinate fastest)."""
     _check_dim(p, shape)

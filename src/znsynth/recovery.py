@@ -18,7 +18,7 @@ out-of-budget fallback.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,6 +38,17 @@ FEASIBILITY_TOL = 1e-7
 
 #: Two floating values are considered the same signal level below this.
 VALUE_EQ_TOL = 1e-9
+
+#: An enumerated signal is alphabet-valued when all values are this close to levels.
+VALUE_TOL = 1e-6
+
+#: The oracle's entrywise tolerance for matching the observed spectrum.
+MATCH_TOL = 1e-8
+
+#: Signal values per block of alphabet_candidates (512 KB of floats): bounds
+#: its memory on large grids, where one block of all 4096 assignments of a
+#: 64x2 problem took 800 MB.
+CANDIDATE_BLOCK_POINTS = 1 << 16
 
 
 def mask_spectrum(F: Spectrum, S: FreqSet) -> Spectrum:
@@ -125,6 +136,11 @@ class RecoveryProblem:
         """Norm level below which recovery is provably unique."""
         return self.delta / (2.0 * math.sqrt(self.c_size))
 
+    @functools.cached_property
+    def basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (g0, B) of :func:`reconstruction_basis`, built once per problem."""
+        return reconstruction_basis(self)
+
 
 def _check_conjugate_symmetry(F: Spectrum, hidden: FreqSet) -> None:
     neg = negate_indices(np.arange(F.shape.size), F.shape)
@@ -178,7 +194,7 @@ def reconstruction_basis(problem: RecoveryProblem) -> tuple[np.ndarray, np.ndarr
     spectra live on the hidden set, so every feasible candidate is
     exactly g0 + B @ v.  One self-paired frequency contributes one column
     (real coefficient); a (m, -m) pair contributes a cosine and a sine
-    column for the shared (re, im) coefficient.
+    column for the shared (re, im) coefficient.  Both arrays are read-only.
     """
     shape = problem.shape
     root = shape.size**-0.5
@@ -193,15 +209,16 @@ def reconstruction_basis(problem: RecoveryProblem) -> tuple[np.ndarray, np.ndarr
             cols.append(-2.0 * np.sin(angles) * root)
     B = np.stack(cols, axis=1)
     g0 = inverse(problem.observed).values.real
+    g0.flags.writeable = B.flags.writeable = False
     return g0, B
 
 
 def free_parameter_count(problem: RecoveryProblem) -> int:
-    return sum(1 if m == mm else 2 for m, mm in _negation_orbits(problem))
+    return problem.basis[1].shape[1]
 
 
 def signal_from_parameters(problem: RecoveryProblem, v: np.ndarray) -> Signal:
-    g0, B = reconstruction_basis(problem)
+    g0, B = problem.basis
     return Signal(problem.shape, g0 + B @ np.asarray(v, dtype=float))
 
 
@@ -209,7 +226,7 @@ def objective_and_gradient(
     problem: RecoveryProblem, v: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """sum_x |g(x)|^p and its gradient in the free hidden coefficients."""
-    g0, B = reconstruction_basis(problem)
+    g0, B = problem.basis
     return _objective_and_gradient(g0, B, np.asarray(v, dtype=float), problem.p)
 
 
@@ -249,7 +266,7 @@ def recover(
         raise RecoveryError(
             "every frequency is hidden; the constraints carry no information"
         )
-    g0, B = reconstruction_basis(problem)
+    g0, B = problem.basis
     p = problem.p
     v = np.zeros(B.shape[1])
     obj, grad = _objective_and_gradient(g0, B, v, p)
@@ -301,10 +318,7 @@ def recover(
             snapped = True
         else:
             levels = np.asarray(sorted(alphabet), dtype=float)
-            rounded = levels[
-                np.argmin(np.abs(raw[:, None] - levels[None, :]), axis=1)
-            ]
-            candidate = Signal(problem.shape, rounded)
+            candidate = Signal(problem.shape, _snap(raw, levels))
             if feasibility_error(problem, candidate) <= FEASIBILITY_TOL:
                 signal = candidate
                 snapped = True
@@ -336,7 +350,6 @@ def _pivot_rows(B: np.ndarray) -> np.ndarray:
     """Indices of t well-conditioned rows spanning the row space of B."""
     n, t = B.shape
     rows: list[int] = []
-    basis = np.zeros((0, t))
     residual = B.copy()
     for _ in range(t):
         norms = np.linalg.norm(residual, axis=1)
@@ -345,16 +358,31 @@ def _pivot_rows(B: np.ndarray) -> np.ndarray:
             raise np.linalg.LinAlgError("parameterization basis is rank-deficient")
         rows.append(pick)
         q = residual[pick] / norms[pick]
-        basis = np.vstack([basis, q])
         residual = residual - np.outer(residual @ q, q)
     return np.array(sorted(rows))
+
+
+def _snap(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Each value replaced by its nearest level, the first one on a tie."""
+    return levels[np.argmin(np.abs(values[..., None] - levels), axis=-1)]
+
+
+def _product_blocks(levels: np.ndarray, width: int, rows: int):
+    """All rows of levels^width in itertools.product order, `rows` at a time.
+
+    Row i holds the base-|levels| digits of i, first coordinate most significant.
+    """
+    base = len(levels)
+    powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    for start in range(0, base**width, rows):
+        index = np.arange(start, min(start + rows, base**width), dtype=np.int64)
+        yield levels[index[:, None] // powers % base]
 
 
 def alphabet_candidates(
     problem: RecoveryProblem,
     alphabet: Sequence[float],
     limit: int = 4096,
-    value_tol: float = 1e-6,
 ) -> list[Signal] | None:
     """All alphabet-valued signals consistent with the observed spectrum.
 
@@ -362,33 +390,27 @@ def alphabet_candidates(
     and v is pinned by the signal's values on t independent coordinates, so
     running over the |alphabet|^t assignments of levels to those
     coordinates enumerates every alphabet-valued feasible signal exactly.
+    The candidates come back in the order of their first assignment.
     Returns None when |alphabet|^t exceeds `limit` (callers fall back to
     rounding).  This stays far cheaper than enumerating all |alphabet|^(N^d)
     signals and never inspects more than the hidden coefficients.
     """
     levels = np.asarray(sorted(set(float(a) for a in alphabet)))
-    g0, B = reconstruction_basis(problem)
+    g0, B = problem.basis
     t = B.shape[1]
     if len(levels) ** t > limit:
         return None
     rows = _pivot_rows(B)
-    B_sub = B[rows]
-    found: list[Signal] = []
-    seen: set[tuple] = set()
-    for combo in itertools.product(levels.tolist(), repeat=t):
-        v = np.linalg.solve(B_sub, np.asarray(combo) - g0[rows])
-        g = g0 + B @ v
-        snapped = levels[np.argmin(np.abs(g[:, None] - levels[None, :]), axis=1)]
-        if float(np.abs(g - snapped).max()) > value_tol:
-            continue
-        key = tuple(snapped.tolist())
-        if key in seen:
-            continue
-        candidate = Signal(problem.shape, snapped)
-        if feasibility_error(problem, candidate) <= FEASIBILITY_TOL:
-            seen.add(key)
-            found.append(candidate)
-    return found
+    close = []
+    block_rows = max(1, CANDIDATE_BLOCK_POINTS // len(g0))
+    for assigned in _product_blocks(levels, t, block_rows):
+        G = g0 + np.linalg.solve(B[rows], (assigned - g0[rows]).T).T @ B.T
+        snapped = _snap(G, levels)
+        close.append(snapped[np.abs(G - snapped).max(axis=1) <= VALUE_TOL])
+    snapped = np.concatenate(close)
+    _, first = np.unique(snapped, axis=0, return_index=True)
+    candidates = [Signal(problem.shape, values) for values in snapped[np.sort(first)]]
+    return [c for c in candidates if feasibility_error(problem, c) <= FEASIBILITY_TOL]
 
 
 @dataclass(frozen=True)
@@ -403,7 +425,6 @@ class BruteForceResult:
 def brute_force_recover(
     problem: RecoveryProblem,
     value_alphabet: Sequence[float],
-    match_tol: float = 1e-8,
     budget: int = 10_000_000,
 ) -> BruteForceResult:
     """Enumerate every alphabet-valued signal and keep the feasible minimum.
@@ -414,7 +435,7 @@ def brute_force_recover(
     within 1e-9 of the minimal norm.
     """
     shape = problem.shape
-    levels = sorted(set(float(a) for a in value_alphabet))
+    levels = np.asarray(sorted(set(float(a) for a in value_alphabet)))
     count = len(levels) ** shape.size
     if count > budget:
         raise EnumerationBudgetExceeded(
@@ -432,15 +453,9 @@ def brute_force_recover(
     best: tuple[float, np.ndarray] | None = None
     second: float | None = None
     feasible = 0
-    chunk = 1 << 14
-    batch: list[Sequence[float]] = []
-
-    def flush(batch_rows):
-        nonlocal best, second, feasible
-        arr = np.asarray(batch_rows, dtype=float)
-        spectra = arr @ Wk.T
-        err = np.abs(spectra - obs_known[None, :]).max(axis=1)
-        for row in np.nonzero(err <= match_tol)[0]:
+    for arr in _product_blocks(levels, shape.size, 1 << 14):
+        err = np.abs(arr @ Wk.T - obs_known[None, :]).max(axis=1)
+        for row in np.nonzero(err <= MATCH_TOL)[0]:
             feasible += 1
             norm = lp_norm(arr[row], problem.p)
             if best is None or norm < best[0] - 1e-15:
@@ -448,14 +463,6 @@ def brute_force_recover(
                 best = (norm, arr[row].copy())
             elif second is None or norm < second:
                 second = norm
-
-    for values in itertools.product(levels, repeat=shape.size):
-        batch.append(values)
-        if len(batch) >= chunk:
-            flush(batch)
-            batch = []
-    if batch:
-        flush(batch)
 
     if best is None:
         raise RecoveryError("no alphabet-valued signal matches the observed spectrum")

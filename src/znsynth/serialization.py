@@ -172,7 +172,10 @@ def problem_from_doc(doc: dict) -> RecoveryProblem:
 
 def load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return doc
 
 
 def format_cell(x: Any) -> str:

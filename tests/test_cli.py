@@ -162,6 +162,42 @@ class TestErrorPaths:
     def test_missing_required_flag(self):
         assert run(["sweep", "--grid-range", "8..16"]) == 2
 
+    @pytest.mark.parametrize("args, flag", [
+        (["phi-stats", "--grid", "16x1", "--size", "4", "--trials", "2"], "--tail-a"),
+        (["construct", "--kind", "random", "--grid", "8x1", "--out", "x.json"],
+         "--size"),
+        (["construct", "--kind", "flat", "--grid", "8x1", "--out", "x.json"],
+         "--size"),
+        (["construct", "--kind", "small-norm", "--grid", "8x1", "--out", "x.json"],
+         "--size"),
+        (["construct", "--kind", "subspace", "--grid", "8x1", "--out", "x.json"],
+         "--axes"),
+        (["construct", "--kind", "normalized-signal", "--grid", "8x1",
+          "--out", "x.json"], "--set-file"),
+        (["sweep", "--alpha", "1", "--grid-range", "8..16", "--p-mode", "fixed"],
+         "--p"),
+        (["recover", "--hidden-size", "2"], "--grid"),
+        (["recover", "--grid", "8x1"], "--hidden-size"),
+    ], ids=["phi-stats-tail", "random", "flat", "small-norm", "subspace",
+            "normalized-signal", "sweep-fixed", "recover-grid", "recover-hidden-size"])
+    def test_mode_specific_missing_flag(self, capsys, args, flag):
+        assert run(args) == 2
+        assert capsys.readouterr().err.rstrip().endswith(" " + flag)
+
+    @pytest.mark.parametrize("alpha", ["0", "-1"])
+    def test_nonpositive_alpha_is_usage_error(self, capsys, alpha):
+        assert run(["sweep", "--alpha", alpha, "--grid-range", "8..16"]) == 2
+        assert "--alpha must be positive" in capsys.readouterr().err
+
+    def test_non_object_json_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "list.json"
+        src.write_text("[]")
+        assert run(["transform", "--input", str(src),
+                    "--output", str(tmp_path / "F.json")]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+        assert run(["recover", "--problem-file", str(src), "--no-oracle"]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
     def test_zero_trials_is_usage_error(self, capsys):
         assert run(["phi-stats", "--grid", "64x1", "--size", "16",
                     "--tail-a", "8", "--trials", "0"]) == 2

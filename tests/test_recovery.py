@@ -176,6 +176,14 @@ class TestParameterization:
         problem, _ = _problem((8, 1), [1, 0, 0, 0, 0, 0, 0, 0], [4], p=2.0)
         assert free_parameter_count(problem) == 1
 
+    def test_basis_is_built_once_and_read_only(self):
+        problem, _ = _problem((8, 1), [1, 0, 0, 0, 0, 0, 0, 0], [2, 6], p=2.0)
+        g0, B = problem.basis
+        assert problem.basis[0] is g0 and problem.basis[1] is B
+        for array in (g0, B):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         for p in (2.0, 3.0, 4.0):
@@ -412,3 +420,78 @@ class TestInstanceGeneration:
             problem, truth = random_instance(GridShape(16, 1), 3, seed=seed)
             assert lp_norm(truth, problem.p) < problem.threshold
             assert separation_check(truth, problem.delta)
+
+
+class TestGoldenEnumerations:
+    """Exact outputs of the two enumerators on fixed instances, compared with ==."""
+
+    def test_oracle_on_unique_16x1_instance(self):
+        problem, _ = random_instance(GridShape(16, 1), 3, seed=5)
+        assert problem.p == 1.3
+        assert problem.hidden.members.tolist() == [5, 8, 11]
+        result = brute_force_recover(problem, (0.0, 1.0))
+        assert result.signal.values.real.tolist() == [
+            1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0
+        ]
+        assert result.objective == 2.3281789044302967
+        assert result.feasible_count == 1
+        assert result.ambiguous is False
+        assert result.runner_up_gap is None
+
+    def test_binary_ambiguous_instance(self):
+        from znsynth.recovery import alphabet_candidates
+
+        problem, _ = random_instance(
+            GridShape(8, 1), 3, seed=90008, well_posed=False
+        )
+        assert problem.p == 1.5
+        assert problem.hidden.members.tolist() == [0, 2, 6]
+        cands = alphabet_candidates(problem, (0.0, 1.0))
+        assert [c.values.real.tolist() for c in cands] == [
+            [0, 0, 0, 0, 1, 0, 0, 0],
+            [0, 0, 1, 1, 1, 0, 1, 1],
+            [0, 1, 1, 0, 1, 1, 1, 0],
+        ]
+        oracle = brute_force_recover(problem, (0.0, 1.0))
+        assert oracle.signal.values.real.tolist() == [0, 0, 0, 0, 1, 0, 0, 0]
+        assert oracle.objective == 1.0
+        assert oracle.feasible_count == 3
+        assert oracle.ambiguous is False
+        assert oracle.runner_up_gap == 1.924017738212866
+
+    def test_three_level_ambiguous_instance(self):
+        from znsynth.recovery import alphabet_candidates
+
+        alphabet = (0.0, 1.0, 2.0)
+        problem, _ = random_instance(
+            GridShape(8, 1), 2, seed=0, alphabet=alphabet, well_posed=False
+        )
+        assert problem.p == 1.1
+        assert problem.hidden.members.tolist() == [0, 4]
+        cands = alphabet_candidates(problem, alphabet)
+        assert [c.values.real.tolist() for c in cands] == [
+            [0, 0, 0, 0, 2, 0, 0, 0],
+            [0, 1, 0, 1, 2, 1, 0, 1],
+            [0, 2, 0, 2, 2, 2, 0, 2],
+        ]
+        oracle = brute_force_recover(problem, alphabet)
+        assert oracle.objective == 2.0
+        assert oracle.feasible_count == 3
+        assert oracle.runner_up_gap == 3.208884275408767
+
+    @pytest.mark.parametrize("hidden_size, seed, alphabet", [
+        (3, 90008, (0.0, 1.0)), (2, 0, (0.0, 1.0, 2.0)),
+    ])
+    def test_candidates_do_not_depend_on_block_size(
+        self, monkeypatch, hidden_size, seed, alphabet
+    ):
+        from znsynth import recovery
+
+        problem, _ = random_instance(
+            GridShape(8, 1), hidden_size, seed=seed, alphabet=alphabet, well_posed=False
+        )
+        whole = recovery.alphabet_candidates(problem, alphabet)
+        monkeypatch.setattr(recovery, "CANDIDATE_BLOCK_POINTS", 1)  # a row per block
+        blocked = recovery.alphabet_candidates(problem, alphabet)
+        assert len(whole) == 3
+        assert [c.values.tolist() for c in blocked] == [c.values.tolist() for c in whole]
