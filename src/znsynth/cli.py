@@ -245,8 +245,7 @@ def cmd_verify(ns) -> int:
     S = set_from_doc(load_json(ns.set_file))
     if f.shape != S.shape:
         raise ValueError(f"signal grid {f.shape} differs from set grid {S.shape}")
-    if ns.grid is not None and ns.grid != f.shape:
-        raise ValueError(f"--grid {ns.grid} does not match the files ({f.shape})")
+    _check_grid(ns, f.shape)
     if ns.which == SUPPORT_SIZE:
         report = verify_support_bound(f, S, ns.p)
     else:
@@ -258,12 +257,12 @@ def cmd_verify(ns) -> int:
 def cmd_construct(ns) -> int:
     shape = ns.grid
     if ns.kind == "random":
-        _require(ns, "size")
+        _require(ns, "grid", "size")
         S = random_set(shape, ns.size, ns.seed)
         write_json(ns.out, set_to_doc(S))
         print(f"wrote {ns.out} (|S| = {S.size})")
     elif ns.kind == "subspace":
-        _require(ns, "axes")
+        _require(ns, "grid", "axes")
         H, H_perp = subspace_pair(shape, SubspaceSpec(axes=ns.axes))
         write_json(ns.out, set_to_doc(H))
         print(f"wrote {ns.out} (|H| = {H.size})")
@@ -271,7 +270,7 @@ def cmd_construct(ns) -> int:
             write_json(ns.perp_out, set_to_doc(H_perp))
             print(f"wrote {ns.perp_out} (|H_perp| = {H_perp.size})")
     elif ns.kind == "flat":
-        _require(ns, "size")
+        _require(ns, "grid", "size")
         found = rejection_sample_flat(
             shape, ns.size, epsilon=ns.epsilon, max_draws=ns.max_draws, seed=ns.seed
         )
@@ -280,7 +279,7 @@ def cmd_construct(ns) -> int:
             f"wrote {ns.out} (phi = {found.statistic:.6g} after {found.draws} draws)"
         )
     elif ns.kind == "small-norm":
-        _require(ns, "size")
+        _require(ns, "grid", "size")
         if ns.p == math.inf:
             raise ValueError("--kind small-norm needs a finite --p")
         target = ns.target if ns.target is not None else 2.0 ** (1.0 / ns.p)
@@ -295,6 +294,7 @@ def cmd_construct(ns) -> int:
     elif ns.kind == "normalized-signal":
         _require(ns, "set_file")
         S = set_from_doc(load_json(ns.set_file))
+        _check_grid(ns, S.shape)
         write_json(ns.out, signal_to_doc(normalized_indicator_signal(S)))
         print(f"wrote {ns.out}")
     else:  # pragma: no cover - argparse restricts choices
@@ -307,6 +307,12 @@ def _require(ns, *fields: str) -> None:
     missing = [f"--{f.replace('_', '-')}" for f in fields if getattr(ns, f) is None]
     if missing:
         raise ValueError("missing required flag(s): " + ", ".join(missing))
+
+
+def _check_grid(ns, shape: GridShape) -> None:
+    """A --grid given beside input files must name the grid they are on."""
+    if ns.grid is not None and ns.grid != shape:
+        raise ValueError(f"--grid {ns.grid} does not match the files ({shape})")
 
 
 def cmd_phi_stats(ns) -> int:
@@ -339,6 +345,7 @@ def cmd_phi_stats(ns) -> int:
         return EXIT_OK
     if ns.set_file:
         S = set_from_doc(load_json(ns.set_file))
+        _check_grid(ns, S.shape)
     else:
         if ns.grid is None or ns.size is None:
             raise ValueError("need --set-file, or --grid with --size")
@@ -371,7 +378,7 @@ def cmd_lambda_search(ns) -> int:
     _emit_json(
         ns,
         {
-            "members": [int(m) for m in candidate.set.members],
+            "members": candidate.set.members.tolist(),
             "p": candidate.p,
             "empirical_constant": candidate.empirical_constant,
             "trials": candidate.trials,
@@ -389,6 +396,7 @@ def cmd_recover(ns) -> int:
     truth = None
     if ns.problem_file:
         problem = problem_from_doc(load_json(ns.problem_file))
+        _check_grid(ns, problem.shape)
     else:
         _require(ns, "grid", "hidden_size")
         alphabet = ns.alphabet or (0.0, 1.0)
@@ -420,7 +428,7 @@ def cmd_recover(ns) -> int:
         "p": problem.p,
         "delta": problem.delta,
         "c_size": problem.c_size,
-        "hidden": [int(m) for m in problem.hidden.members],
+        "hidden": problem.hidden.members.tolist(),
         "objective": result.objective,
         "certificate": {
             "threshold": result.certificate.threshold,
@@ -432,7 +440,7 @@ def cmd_recover(ns) -> int:
         "snapped": result.snapped,
         "exact_match": exact,
         "oracle_agrees": oracle_agrees,
-        "recovered": [float(v) for v in result.signal.values.real],
+        "recovered": result.signal.values.real.tolist(),
     }
     if ns.problem_out:
         write_json(ns.problem_out, problem_to_doc(problem))
@@ -620,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
 REQUIRED = {
     "transform": ["input", "output"],
     "verify": ["which", "signal_file", "set_file"],
-    "construct": ["kind", "grid", "out"],
+    "construct": ["kind", "out"],
     "lambda-search": ["grid", "size", "p"],
     "sweep": ["alpha", "grid_range"],
 }

@@ -17,11 +17,13 @@ Recovery problems::
 Inequality reports serialize as
 {"which", "p", "lhs", "rhs", "slack_ratio", "grid": {"N", "d"}, "set_size"}.
 
-Values are read back with full double precision; bit-exact round-trips of
-the decimal text are not promised.  Infinite numbers (p = inf, infinite
-slack ratios) are written as the string "inf".  CSV files open with
-"# key=value" header lines carrying the resolved configuration; the body
-below the header is deterministic for a fixed config and seed.
+Documents are written compactly on one line (``python -m json.tool f.json``
+pretty-prints one) through the stdlib's C encoder.  Floats are written in
+their shortest round-trip form, so values read back bit for bit.  Infinite
+numbers (p = inf, infinite slack ratios) are written as the string "inf".
+CSV files open with "# key=value" header lines carrying the resolved
+configuration; the body below the header is deterministic for a fixed
+config and seed.
 """
 
 from __future__ import annotations
@@ -67,11 +69,14 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_json(path: str, doc: dict) -> None:
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    # Only the one-shot json.dumps without indent runs the C encoder;
+    # indent, or json.dump to a file, falls back to the pure-Python one.
+    atomic_write_text(path, json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 def _values_to_pairs(values: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in values]
+    """[[re, im], ...] of contiguous complex128 values."""
+    return values.view(np.float64).reshape(-1, 2).tolist()
 
 
 def _pairs_to_values(pairs) -> np.ndarray:
@@ -105,7 +110,7 @@ def set_to_doc(S: FreqSet) -> dict:
     return {
         "modulus": S.shape.modulus,
         "dim": S.shape.dim,
-        "members": [int(m) for m in S.members],
+        "members": S.members.tolist(),
     }
 
 
@@ -127,17 +132,16 @@ def report_to_doc(report: InequalityReport) -> dict:
 
 
 def problem_to_doc(problem: RecoveryProblem) -> dict:
-    hidden = problem.hidden.mask()
-    observed = [
-        None if hidden[i] else [float(z.real), float(z.imag)]
-        for i, z in enumerate(problem.observed.values)
-    ]
+    hidden = problem.hidden.members.tolist()
+    observed = _values_to_pairs(problem.observed.values)
+    for m in hidden:
+        observed[m] = None
     return {
         "grid": {"N": problem.shape.modulus, "d": problem.shape.dim},
         "p": problem.p,
         "delta": problem.delta,
         "c_size": problem.c_size,
-        "hidden": [int(m) for m in problem.hidden.members],
+        "hidden": hidden,
         "observed": observed,
     }
 

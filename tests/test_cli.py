@@ -178,8 +178,11 @@ class TestErrorPaths:
          "--p"),
         (["recover", "--hidden-size", "2"], "--grid"),
         (["recover", "--grid", "8x1"], "--hidden-size"),
+        (["construct", "--kind", "random", "--size", "2", "--out", "x.json"],
+         "--grid"),
     ], ids=["phi-stats-tail", "random", "flat", "small-norm", "subspace",
-            "normalized-signal", "sweep-fixed", "recover-grid", "recover-hidden-size"])
+            "normalized-signal", "sweep-fixed", "recover-grid", "recover-hidden-size",
+            "random-grid"])
     def test_mode_specific_missing_flag(self, capsys, args, flag):
         assert run(args) == 2
         assert capsys.readouterr().err.rstrip().endswith(" " + flag)
@@ -244,6 +247,35 @@ class TestErrorPaths:
         assert run(["recover", "--explain"]) == 0
         out = capsys.readouterr().out
         assert "recovery" in out.lower()
+
+    def test_given_grid_must_match_the_input_file(self, tmp_path, capsys):
+        s, prob = tmp_path / "s.json", tmp_path / "problem.json"
+        assert run(["construct", "--kind", "random", "--grid", "8x1", "--size", "2",
+                    "--seed", "1", "--out", str(s)]) == 0
+        assert run(["recover", "--grid", "8x1", "--alphabet", "0,1",
+                    "--hidden-size", "2", "--seed", "7", "--no-oracle",
+                    "--out", str(tmp_path / "r.json"),
+                    "--problem-out", str(prob)]) == 0
+        capsys.readouterr()
+        for args in (
+            ["construct", "--kind", "normalized-signal", "--grid", "64x3",
+             "--set-file", str(s), "--out", str(tmp_path / "f.json")],
+            ["phi-stats", "--grid", "16x1", "--set-file", str(s)],
+            ["recover", "--grid", "16x1", "--problem-file", str(prob),
+             "--no-oracle"],
+        ):
+            assert run(args) == 2
+            assert "does not match the files" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
+    def test_normalized_signal_needs_no_grid(self, tmp_path):
+        s, f = tmp_path / "s.json", tmp_path / "f.json"
+        run(["construct", "--kind", "random", "--grid", "8x1", "--size", "2",
+             "--seed", "1", "--out", str(s)])
+        assert run(["construct", "--kind", "normalized-signal",
+                    "--set-file", str(s), "--out", str(f)]) == 0
+        doc = load_json(str(f))
+        assert (doc["modulus"], doc["dim"], len(doc["values"])) == (8, 1, 8)
 
     def test_grid_mismatch_detected(self, tmp_path):
         s, f = tmp_path / "s.json", tmp_path / "f.json"

@@ -13,6 +13,7 @@ from znsynth.serialization import (
     atomic_write_text,
     csv_body,
     format_cell,
+    load_json,
     problem_from_doc,
     problem_to_doc,
     render_csv,
@@ -21,6 +22,7 @@ from znsynth.serialization import (
     set_to_doc,
     signal_from_doc,
     signal_to_doc,
+    write_json,
 )
 
 from helpers import random_signal
@@ -42,6 +44,37 @@ class TestSignalDocs:
         back = signal_from_doc(doc)
         assert isinstance(back, Spectrum)
         assert np.array_equal(back.values, F.values)
+
+    # Extremes of the float64 range: signed zero, the smallest subnormal
+    # and the largest finite double.
+    EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, -5e-324,
+                   -1.7976931348623157e308, 0.1, 1 / 3, 0.0]
+
+    def _edge_signal(self):
+        values = np.array(self.EDGE_VALUES, dtype=np.complex128)
+        values.imag = self.EDGE_VALUES[::-1]
+        return Signal(GridShape(8, 1), values)
+
+    def test_values_match_per_element_pairs(self):
+        f = self._edge_signal()
+        pairs = signal_to_doc(f)["values"]
+        assert pairs == [[float(z.real), float(z.imag)] for z in f.values]
+        assert all(type(x) is float for pair in pairs for x in pair)
+        assert math.copysign(1.0, pairs[0][0]) == -1.0
+
+    def test_written_document_reads_back_bit_for_bit(self, tmp_path):
+        f = self._edge_signal()
+        path = tmp_path / "f.json"
+        write_json(str(path), signal_to_doc(f))
+        back = signal_from_doc(load_json(str(path)))
+        assert back.values.tobytes() == f.values.tobytes()
+
+    def test_written_document_is_one_line(self, tmp_path):
+        path = tmp_path / "f.json"
+        write_json(str(path), signal_to_doc(self._edge_signal()))
+        text = path.read_text()
+        assert text.endswith("\n")
+        assert text.count("\n") == 1
 
     def test_unknown_domain(self):
         with pytest.raises(ValueError, match="domain"):
@@ -98,6 +131,18 @@ class TestProblemDocs:
         assert back.hidden.members.tolist() == problem.hidden.members.tolist()
         assert np.allclose(back.observed.values, problem.observed.values)
         assert back.c_size == pytest.approx(problem.c_size)
+
+    def test_observed_matches_per_element_loop(self):
+        problem = self._problem()
+        hidden = problem.hidden.mask()
+        want = [
+            None if hidden[i] else [float(z.real), float(z.imag)]
+            for i, z in enumerate(problem.observed.values)
+        ]
+        doc = problem_to_doc(problem)
+        assert doc["observed"] == want
+        assert doc["hidden"] == [2, 6]
+        assert all(type(m) is int for m in doc["hidden"])
 
     def test_inconsistent_c_size_rejected(self):
         doc = problem_to_doc(self._problem())
