@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import json
 import math
 import os
 import sys
@@ -50,6 +51,8 @@ from .lattice import GridShape, encode
 from .recovery import brute_force_recover, random_instance, recover
 from .rng import run_indexed, spawn_generators
 from .serialization import (
+    atomic_write_text,
+    format_cell,
     load_json,
     problem_from_doc,
     problem_to_doc,
@@ -195,8 +198,6 @@ def _emit_json(ns: argparse.Namespace, result: dict) -> None:
         write_json(ns.out, doc)
         print(f"wrote {ns.out}")
     else:
-        import json
-
         print(json.dumps(doc, indent=2))
 
 
@@ -207,8 +208,6 @@ def _emit_table(ns: argparse.Namespace, columns: list[str], rows: list[list]) ->
         return
     text = render_csv(_csv_header(ns), columns, rows)
     if getattr(ns, "out", None):
-        from .serialization import atomic_write_text
-
         atomic_write_text(ns.out, text)
         print(f"wrote {ns.out}")
     else:
@@ -255,36 +254,31 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_construct(ns) -> int:
-    shape = ns.grid
     if ns.kind == "random":
-        _require(ns, "grid", "size")
-        S = random_set(shape, ns.size, ns.seed)
+        S = random_set(ns.grid, ns.size, ns.seed)
         write_json(ns.out, set_to_doc(S))
         print(f"wrote {ns.out} (|S| = {S.size})")
     elif ns.kind == "subspace":
-        _require(ns, "grid", "axes")
-        H, H_perp = subspace_pair(shape, SubspaceSpec(axes=ns.axes))
+        H, H_perp = subspace_pair(ns.grid, SubspaceSpec(axes=ns.axes))
         write_json(ns.out, set_to_doc(H))
         print(f"wrote {ns.out} (|H| = {H.size})")
         if ns.perp_out:
             write_json(ns.perp_out, set_to_doc(H_perp))
             print(f"wrote {ns.perp_out} (|H_perp| = {H_perp.size})")
     elif ns.kind == "flat":
-        _require(ns, "grid", "size")
         found = rejection_sample_flat(
-            shape, ns.size, epsilon=ns.epsilon, max_draws=ns.max_draws, seed=ns.seed
+            ns.grid, ns.size, epsilon=ns.epsilon, max_draws=ns.max_draws, seed=ns.seed
         )
         write_json(ns.out, set_to_doc(found.set))
         print(
             f"wrote {ns.out} (phi = {found.statistic:.6g} after {found.draws} draws)"
         )
     elif ns.kind == "small-norm":
-        _require(ns, "grid", "size")
         if ns.p == math.inf:
             raise ValueError("--kind small-norm needs a finite --p")
         target = ns.target if ns.target is not None else 2.0 ** (1.0 / ns.p)
         found = rejection_sample_small_norm(
-            shape, ns.size, ns.p, target, max_draws=ns.max_draws, seed=ns.seed
+            ns.grid, ns.size, ns.p, target, max_draws=ns.max_draws, seed=ns.seed
         )
         write_json(ns.out, set_to_doc(found.set))
         print(
@@ -292,21 +286,11 @@ def cmd_construct(ns) -> int:
             f"after {found.draws} draws)"
         )
     elif ns.kind == "normalized-signal":
-        _require(ns, "set_file")
         S = set_from_doc(load_json(ns.set_file))
         _check_grid(ns, S.shape)
         write_json(ns.out, signal_to_doc(normalized_indicator_signal(S)))
         print(f"wrote {ns.out}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {ns.kind}")
     return EXIT_OK
-
-
-def _require(ns, *fields: str) -> None:
-    """Raise ValueError naming each of the flags that was not given."""
-    missing = [f"--{f.replace('_', '-')}" for f in fields if getattr(ns, f) is None]
-    if missing:
-        raise ValueError("missing required flag(s): " + ", ".join(missing))
 
 
 def _check_grid(ns, shape: GridShape) -> None:
@@ -316,8 +300,8 @@ def _check_grid(ns, shape: GridShape) -> None:
 
 
 def cmd_phi_stats(ns) -> int:
-    if ns.trials is not None:
-        _require(ns, "grid", "size", "tail_a")
+    mode = pick_mode(ns)
+    if mode == "tail":
         report = hayes_tail_experiment(
             ns.grid, ns.size, ns.tail_a, ns.trials, ns.seed, workers=ns.workers
         )
@@ -343,12 +327,10 @@ def cmd_phi_stats(ns) -> int:
                 ]],
             )
         return EXIT_OK
-    if ns.set_file:
+    if mode == "set-file":
         S = set_from_doc(load_json(ns.set_file))
         _check_grid(ns, S.shape)
     else:
-        if ns.grid is None or ns.size is None:
-            raise ValueError("need --set-file, or --grid with --size")
         S = random_set(ns.grid, ns.size, ns.seed)
     stat = phi(S)
     _emit_json(
@@ -394,25 +376,19 @@ def cmd_lambda_search(ns) -> int:
 
 def cmd_recover(ns) -> int:
     truth = None
-    if ns.problem_file:
+    if pick_mode(ns) == "problem-file":
         problem = problem_from_doc(load_json(ns.problem_file))
         _check_grid(ns, problem.shape)
     else:
-        _require(ns, "grid", "hidden_size")
-        alphabet = ns.alphabet or (0.0, 1.0)
-        ns.alphabet = alphabet
-        problem, truth = random_instance(
-            ns.grid, ns.hidden_size, ns.seed, alphabet=alphabet
-        )
+        ns.alphabet = ns.alphabet or (0.0, 1.0)
+        problem, truth = random_instance(ns.grid, ns.hidden_size, ns.seed, ns.alphabet)
     result = recover(
         problem, tol=ns.tol, max_iters=ns.max_iters, alphabet=ns.alphabet
     )
 
     exact = None
     if truth is not None:
-        exact = bool(
-            float(np.abs(result.signal.values - truth.values).max()) < 1e-6
-        )
+        exact = bool(np.abs(result.signal.values - truth.values).max() < 1e-6)
 
     oracle_agrees = None
     if ns.oracle and ns.alphabet:
@@ -461,8 +437,6 @@ RECOVERY_CSV_COLUMNS = [
 
 
 def _append_recovery_row(ns, problem, result, exact) -> None:
-    from .serialization import atomic_write_text, format_cell
-
     row = [
         ns.seed, problem.shape.modulus, problem.shape.dim, problem.hidden.size,
         problem.p, result.objective, result.certificate.unique,
@@ -472,10 +446,9 @@ def _append_recovery_row(ns, problem, result, exact) -> None:
     if os.path.exists(ns.csv):
         with open(ns.csv) as fh:
             text = fh.read()
-        atomic_write_text(ns.csv, text + line)
     else:
-        header = render_csv(_csv_header(ns), RECOVERY_CSV_COLUMNS, [])
-        atomic_write_text(ns.csv, header + line)
+        text = render_csv(_csv_header(ns), RECOVERY_CSV_COLUMNS, [])
+    atomic_write_text(ns.csv, text + line)
     print(f"appended {ns.csv}")
 
 
@@ -484,11 +457,7 @@ def cmd_sweep(ns) -> int:
     sizes = ns.grid_range
     if ns.alpha <= 0:
         raise ValueError(f"--alpha must be positive, got {ns.alpha}")
-    if ns.p_mode == "critical":
-        p = 2.0 * dim / ns.alpha
-    else:
-        _require(ns, "p")
-        p = ns.p
+    p = 2.0 * dim / ns.alpha if ns.p_mode == "critical" else ns.p
     rngs = spawn_generators(ns.seed, len(sizes))
 
     def one(i: int) -> list:
@@ -623,15 +592,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags every mode of a command needs; argparse's required=True would stop
-# --explain from working without them.
-REQUIRED = {
-    "transform": ["input", "output"],
-    "verify": ["which", "signal_file", "set_file"],
-    "construct": ["kind", "out"],
-    "lambda-search": ["grid", "size", "p"],
-    "sweep": ["alpha", "grid_range"],
+# Per (subcommand, mode): the flags the mode needs, then the other flags it
+# reads; mode "" is what all its modes share.  Flags with defaults are left out,
+# as they always look given; argparse's required=True would break --explain.
+MODES = {
+    ("transform", ""): ("--input --output", ""),
+    ("verify", ""): ("--which --signal-file --set-file", "--grid --out"),
+    ("construct", ""): ("--kind --out", ""),
+    ("construct", "random"): ("--grid --size", ""),
+    ("construct", "subspace"): ("--grid --axes", "--perp-out"),
+    ("construct", "flat"): ("--grid --size", ""),
+    ("construct", "small-norm"): ("--grid --size", "--target"),
+    ("construct", "normalized-signal"): ("--set-file", "--grid"),
+    ("phi-stats", ""): ("", "--out"),
+    ("phi-stats", "set-file"): ("--set-file", "--grid"),
+    ("phi-stats", "random"): ("--grid --size", ""),
+    ("phi-stats", "tail"): ("--grid --size --tail-a --trials", "--format"),
+    ("lambda-search", ""): ("--grid --size --p", "--out"),
+    ("recover", ""): ("", "--alphabet --csv --out --problem-out"),
+    ("recover", "problem-file"): ("--problem-file", "--grid"),
+    ("recover", "generated"): ("--grid --hidden-size", ""),
+    ("sweep", ""): ("--alpha --grid-range", "--format --out"),
+    ("sweep", "critical"): ("", ""),
+    ("sweep", "fixed"): ("--p", ""),
 }
+
+
+def pick_mode(ns: argparse.Namespace) -> str | None:
+    """The mode ns's flags select, or None when only the shared "" mode applies."""
+    if ns.command == "phi-stats":
+        if ns.set_file is not None:
+            return "set-file"
+        return "tail" if ns.trials is not None else "random"
+    if ns.command == "recover":
+        return "problem-file" if ns.problem_file is not None else "generated"
+    if ns.command == "construct":
+        return ns.kind
+    return ns.p_mode if ns.command == "sweep" else None
+
+
+def check_flags(ns: argparse.Namespace) -> None:
+    """Raise ValueError for missing flags, or for flags only another mode reads."""
+    modes = {m: spec for (c, m), spec in MODES.items() if c == ns.command}
+    own = [modes[""], modes.get(pick_mode(ns), ("", ""))]
+
+    def given(flag: str) -> bool:
+        return getattr(ns, flag[2:].replace("-", "_")) is not None
+
+    missing = [f for need, _ in own for f in need.split() if not given(f)]
+    if missing:
+        raise ValueError("missing required flag(s): " + ", ".join(missing))
+    mine = {f for spec in own for f in " ".join(spec).split()}
+    others = {f for spec in modes.values() for f in " ".join(spec).split()} - mine
+    stray = sorted(f for f in others if given(f))
+    if stray:
+        raise ValueError("flag(s) not used in this mode: " + ", ".join(stray))
 
 
 def main(argv=None) -> int:
@@ -641,7 +656,7 @@ def main(argv=None) -> int:
         print(EXPLANATIONS[ns.command])
         return EXIT_OK
     try:
-        _require(ns, *REQUIRED.get(ns.command, ()))
+        check_flags(ns)
         return ns.func(ns)
     except (BoundViolation, SamplingBudgetExceeded) as exc:
         print(f"check failed: {exc}", file=sys.stderr)

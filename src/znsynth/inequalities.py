@@ -73,7 +73,7 @@ def bound_holds(lhs: float, rhs: float) -> bool:
     return lhs <= rhs + max(BOUND_RTOL * rhs, BOUND_ATOL)
 
 
-def _require_support(f: Signal, S: FreqSet) -> Spectrum:
+def _check_support(f: Signal, S: FreqSet) -> Spectrum:
     F = forward(f)
     supp = support(F)
     outside = np.setdiff1d(supp.members, S.members)
@@ -116,7 +116,7 @@ def verify_support_bound(f: Signal, S: FreqSet, p: float) -> InequalityReport:
         raise ValueError("support-size bound requires finite p")
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    _require_support(f, S)
+    _check_support(f, S)
     shape = f.shape
     lhs = lp_norm(f, math.inf)
     coeff = math.sqrt(S.size / shape.modulus ** (2 * shape.dim / p))
@@ -131,7 +131,7 @@ def verify_indicator_bound(f: Signal, S: FreqSet, p: float) -> InequalityReport:
     """
     if p != math.inf and p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    _require_support(f, S)
+    _check_support(f, S)
     shape = f.shape
     lhs = lp_norm(f, math.inf)
     rhs = (

@@ -262,6 +262,8 @@ def recover(
     rounding alone can mis-decode when the continuous minimizer sits more
     than half a level away from the transmitted signal.
     """
+    if max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
     if problem.hidden.size == problem.shape.size:
         raise RecoveryError(
             "every frequency is hidden; the constraints carry no information"
@@ -479,6 +481,8 @@ def brute_force_recover(
 
 def symmetric_hidden_set(shape: GridShape, size: int, seed) -> FreqSet:
     """A random negation-closed frequency set with exactly `size` elements."""
+    if size < 1:
+        raise ValueError(f"hidden set size must be >= 1, got {size}")
     rng = as_generator(seed)
     indices = np.arange(shape.size)
     neg = negate_indices(indices, shape)

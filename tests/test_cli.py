@@ -1,12 +1,22 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from znsynth.cli import main, parse_exponent, parse_grid, parse_range
+from znsynth.cli import (
+    build_parser,
+    check_flags,
+    main,
+    parse_exponent,
+    parse_grid,
+    parse_range,
+)
 from znsynth.lattice import GridShape
-from znsynth.serialization import csv_body, load_json
+from znsynth.recovery import random_instance
+from znsynth.serialization import csv_body, load_json, problem_to_doc, write_json
 
 
 def run(args, capsys=None):
@@ -180,12 +190,47 @@ class TestErrorPaths:
         (["recover", "--grid", "8x1"], "--hidden-size"),
         (["construct", "--kind", "random", "--size", "2", "--out", "x.json"],
          "--grid"),
+        (["construct", "--grid", "8x1", "--size", "2", "--out", "x.json"], "--kind"),
+        (["phi-stats"], "--size"),
     ], ids=["phi-stats-tail", "random", "flat", "small-norm", "subspace",
             "normalized-signal", "sweep-fixed", "recover-grid", "recover-hidden-size",
-            "random-grid"])
+            "random-grid", "construct-kind", "phi-stats-random"])
     def test_mode_specific_missing_flag(self, capsys, args, flag):
         assert run(args) == 2
         assert capsys.readouterr().err.rstrip().endswith(" " + flag)
+
+    @pytest.mark.parametrize("args, stray", [
+        ("phi-stats --set-file {s} --grid 32x1 --size 8 --tail-a 5 --trials 16",
+         ["--size", "--tail-a", "--trials"]),
+        ("phi-stats --grid 16x1 --size 4 --tail-a 5", ["--tail-a"]),
+        ("recover --problem-file {p} --hidden-size 5", ["--hidden-size"]),
+        ("sweep --alpha 0.5 --grid-range 8..16 --p 3", ["--p"]),
+        ("construct --kind random --grid 8x1 --size 2 --perp-out {q} --axes 0 "
+         "--set-file {s} --target 2", ["--axes", "--perp-out", "--set-file", "--target"]),
+        ("construct --kind normalized-signal --set-file {s} --size 5", ["--size"]),
+        ("construct --kind subspace --grid 8x2 --axes 0 --size 3", ["--size"]),
+    ], ids=["phi-stats-set-file", "phi-stats-random", "recover-problem-file",
+            "sweep-critical", "construct-random", "construct-normalized-signal",
+            "construct-subspace"])
+    def test_flag_of_another_mode_is_usage_error(self, tmp_path, capsys, args, stray):
+        s, p, q, out = (tmp_path / n for n in ("s.json", "p.json", "q.json", "out"))
+        assert run(["construct", "--kind", "random", "--grid", "8x1", "--size", "2",
+                    "--seed", "1", "--out", str(s)]) == 0
+        write_json(str(p), problem_to_doc(random_instance(GridShape(8, 1), 2, 7)[0]))
+        capsys.readouterr()
+        argv = shlex.split(args.format(s=s, p=p, q=q)) + ["--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "not used in this mode: " + ", ".join(stray) in err
+        assert not out.exists() and not q.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--hidden-size", "0"], "hidden set size must be >= 1"),
+        (["--hidden-size", "2", "--max-iters", "-1"], "max_iters must be >= 0"),
+    ])
+    def test_bad_recover_value_is_usage_error(self, capsys, flags, message):
+        assert run(["recover", "--grid", "8x1", "--no-oracle"] + flags) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("alpha", ["0", "-1"])
     def test_nonpositive_alpha_is_usage_error(self, capsys, alpha):
@@ -286,3 +331,13 @@ class TestErrorPaths:
         assert run(["verify", "--which", "support-size", "--grid", "16x1",
                     "--p", "2", "--signal-file", str(f),
                     "--set-file", str(s)]) == 2
+
+
+def test_readme_command_lines_pass_the_flag_check():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    lines = [ln for ln in block.splitlines() if ln.startswith("znsynth ")]
+    assert len(lines) >= 11
+    for line in lines:
+        check_flags(build_parser().parse_args(shlex.split(line)[1:]))
