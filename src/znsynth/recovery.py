@@ -9,11 +9,17 @@ real signals whose spectrum matches the observed coefficients.
 
 The minimizer is computed by first-order descent over the free hidden
 coefficients; real-valuedness is enforced structurally by optimizing one
-(re, im) pair per negation orbit of the hidden set.  When a value
-alphabet is declared, the alphabet-valued feasible signals are enumerated
-exactly through the same parameterization and the minimal-norm separated
-one is returned, with nearest-value rounding of the descent output as the
-out-of-budget fallback.
+(re, im) pair per negation orbit of the hidden set.  Each Armijo trial
+step evaluates the objective alone, and the gradient is formed once per
+accepted step.  When a value alphabet is declared, the alphabet-valued
+feasible signals are enumerated exactly through the same parameterization
+and the minimal-norm separated one is returned, with nearest-value
+rounding of the descent output as the out-of-budget fallback.
+
+The exhaustive oracle, :func:`brute_force_recover`, does not use that
+parameterization.  It splits each alphabet signal into head and tail
+coordinates, so the known spectrum of every signal is one head row plus
+one tail row of two small precomputed tables.
 """
 
 from __future__ import annotations
@@ -49,6 +55,11 @@ MATCH_TOL = 1e-8
 #: its memory on large grids, where one block of all 4096 assignments of a
 #: 64x2 problem took 800 MB.
 CANDIDATE_BLOCK_POINTS = 1 << 16
+
+#: Signals per array operation of brute_force_recover: the tail coordinates
+#: take at most this many assignments (unless one coordinate has more levels),
+#: and each block of heads covers about this many signals.
+ORACLE_TAIL_ROWS = 1024
 
 
 def mask_spectrum(F: Spectrum, S: FreqSet) -> Spectrum:
@@ -249,8 +260,10 @@ def recover(
     Feasibility is structural (free hidden coefficients, everything else
     pinned), so every iterate matches the observed spectrum exactly.  For
     p > 1 the objective is differentiable and plain descent with Armijo
-    backtracking is used; p = 1 falls back to subgradient steps with a
-    diminishing schedule and no convergence guarantee.
+    backtracking is used: each trial step evaluates only sum_x |g(x)|^p,
+    and the gradient is formed once per iteration, at the accepted step.
+    p = 1 falls back to subgradient steps with a diminishing schedule and
+    no convergence guarantee.
 
     With an alphabet, the feasible alphabet-valued signals are enumerated
     exactly through the parameterization (see :func:`alphabet_candidates`)
@@ -278,22 +291,25 @@ def recover(
     if p > 1:
         step = 1.0
         for iters in range(1, max_iters + 1):
-            gn = float(np.linalg.norm(grad))
+            gn = math.sqrt(grad.dot(grad))  # np.linalg.norm, bit for bit
             if gn <= tol * max(1.0, obj):
                 converged = True
                 break
             t = step
-            accepted = False
             for _ in range(60):
+                # the objective alone, computed as _objective_and_gradient does
                 v_new = v - t * grad
-                obj_new, grad_new = _objective_and_gradient(g0, B, v_new, p)
+                g = B @ v_new
+                g += g0
+                a = np.abs(g)
+                obj_new = float((a**p).sum())
                 if obj_new <= obj - 1e-4 * t * gn * gn:
-                    accepted = True
                     break
                 t *= 0.5
-            if not accepted:
+            else:
                 break  # step collapsed below float resolution
-            v, obj, grad = v_new, obj_new, grad_new
+            v, obj = v_new, obj_new
+            grad = B.T @ (p * np.sign(g) * a ** (p - 1.0))
             step = min(2.0 * t, 1e6)
     else:
         best_v, best_obj = v.copy(), obj
@@ -381,6 +397,11 @@ def _product_blocks(levels: np.ndarray, width: int, rows: int):
         yield levels[index[:, None] // powers % base]
 
 
+def _product_rows(levels: np.ndarray, width: int) -> np.ndarray:
+    """All |levels|^width rows of levels^width, in itertools.product order."""
+    return next(_product_blocks(levels, width, len(levels) ** width))
+
+
 def alphabet_candidates(
     problem: RecoveryProblem,
     alphabet: Sequence[float],
@@ -433,10 +454,25 @@ def brute_force_recover(
 
     Independent of :func:`recover`: feasibility is checked against the
     observed spectrum with an explicitly built character-sum transform
-    matrix.  Ambiguity is reported when a second feasible signal comes
-    within 1e-9 of the minimal norm.
+    matrix.  A signal is feasible when its spectrum is within MATCH_TOL of
+    the observed one at every known frequency.  Ambiguity is reported when
+    a second feasible signal comes within 1e-9 of the minimal norm.
+
+    Each signal is split into head coordinates and the last `low` tail
+    coordinates, as many as keep |alphabet|^low within ORACLE_TAIL_ROWS but
+    at least one, so that at most budget / |alphabet| heads remain.  The
+    tails' share of the known spectrum, minus the observed values, is one
+    real matmul against the stacked real and imaginary character rows, and
+    each head adds its own share, one row vector, to it.  Blocks of heads
+    covering about ORACLE_TAIL_ROWS signals are tested on one known
+    frequency first; only the signals that pass are tested on all of them.
+    Signals are visited in itertools.product order.
     """
     shape = problem.shape
+    if problem.hidden.size == shape.size:
+        raise RecoveryError(
+            "every frequency is hidden; the constraints carry no information"
+        )
     levels = np.asarray(sorted(set(float(a) for a in value_alphabet)))
     count = len(levels) ** shape.size
     if count > budget:
@@ -448,21 +484,39 @@ def brute_force_recover(
     dots = (coords @ coords.T) % shape.modulus
     W = np.exp(-2j * np.pi * dots / shape.modulus) * shape.size**-0.5
 
-    known = ~problem.hidden.mask()
-    obs_known = problem.observed.values[known]
-    Wk = W[known, :]
+    known = np.flatnonzero(~problem.hidden.mask())
+    k = len(known)
+    chars = np.concatenate([W[known].real, W[known].imag])  # (2k, N^d)
+    observed = problem.observed.values[known]
+    probe = int(np.argmax(known != 0))  # a nonzero frequency, when one is known
+
+    low = 1
+    while low < shape.size and len(levels) ** (low + 1) <= ORACLE_TAIL_ROWS:
+        low += 1
+    cut = shape.size - low
+    heads, tails = _product_rows(levels, cut), _product_rows(levels, low)
+    head_sums = heads @ chars[:, :cut].T
+    residual = tails @ chars[:, cut:].T
+    residual -= np.concatenate([observed.real, observed.imag])
 
     best: tuple[float, np.ndarray] | None = None
     second: float | None = None
     feasible = 0
-    for arr in _product_blocks(levels, shape.size, 1 << 14):
-        err = np.abs(arr @ Wk.T - obs_known[None, :]).max(axis=1)
-        for row in np.nonzero(err <= MATCH_TOL)[0]:
+    block = max(1, ORACLE_TAIL_ROWS // len(tails))  # heads per block
+    for start in range(0, len(heads), block):
+        shift = head_sums[start:start + block, None, :]
+        near = np.hypot(shift[..., probe] + residual[:, probe],
+                        shift[..., k + probe] + residual[:, k + probe]) <= MATCH_TOL
+        head, row = np.nonzero(near)  # in itertools.product order
+        r = residual[row] + shift[head, 0]
+        match = np.hypot(r[:, :k], r[:, k:]).max(axis=1) <= MATCH_TOL
+        for h, t in zip(head[match], row[match]):
+            values = np.concatenate([heads[start + h], tails[t]])
             feasible += 1
-            norm = lp_norm(arr[row], problem.p)
+            norm = lp_norm(values, problem.p)
             if best is None or norm < best[0] - 1e-15:
                 second = None if best is None else best[0]
-                best = (norm, arr[row].copy())
+                best = (norm, values)
             elif second is None or norm < second:
                 second = norm
 
@@ -542,13 +596,16 @@ def random_instance(
         if not separation_check(truth, delta):
             continue
         hidden = symmetric_hidden_set(shape, hidden_size, rng)
-        observed = mask_spectrum(forward(truth), hidden)
         for p in p_grid:
             k = 2.0 * shape.dim / p
             c_size = hidden.size / shape.modulus**k
             if lp_norm(truth, p) < delta / (2.0 * math.sqrt(c_size)):
                 problem = RecoveryProblem(
-                    shape=shape, observed=observed, hidden=hidden, p=p, delta=delta
+                    shape=shape,
+                    observed=mask_spectrum(forward(truth), hidden),
+                    hidden=hidden,
+                    p=p,
+                    delta=delta,
                 )
                 if well_posed:
                     candidates = alphabet_candidates(problem, levels)

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from znsynth.fourier import FreqSet, Signal, Spectrum, forward
 from znsynth.inequalities import lp_norm
 from znsynth.lattice import GridShape
 from znsynth.recovery import (
+    MATCH_TOL,
     RecoveryProblem,
     brute_force_recover,
     feasibility_error,
@@ -290,6 +293,18 @@ class TestBruteForce:
         assert not result.ambiguous
         assert np.allclose(result.signal.values, 2.0)
 
+    def test_every_frequency_hidden(self):
+        shape = GridShape(4, 1)
+        problem = RecoveryProblem(
+            shape=shape,
+            observed=forward(Signal.delta(shape)),
+            hidden=FreqSet.from_indices(shape, [0, 1, 2, 3]),
+            p=2.0,
+            delta=1.0,
+        )
+        with pytest.raises(RecoveryError, match="every frequency is hidden"):
+            brute_force_recover(problem, (0.0, 1.0))
+
     def test_budget_guard(self):
         problem, _ = _problem((16, 1), np.zeros(16), [8], p=2.0)
         with pytest.raises(EnumerationBudgetExceeded):
@@ -495,3 +510,149 @@ class TestGoldenEnumerations:
         blocked = recovery.alphabet_candidates(problem, alphabet)
         assert len(whole) == 3
         assert [c.values.tolist() for c in blocked] == [c.values.tolist() for c in whole]
+
+
+class TestGoldenDescent:
+    """Exact outputs of the descent alone (no alphabet) on fixed instances.
+
+    At p = 2 the minimum-energy completion is already the minimizer, so that
+    descent stops at its first gradient check; the others take Armijo steps,
+    and one runs into the iteration cap.
+    """
+
+    @pytest.mark.parametrize(
+        "grid, hidden_size, seed, p, objective, iterations, converged, digest",
+        [
+            ((9, 1), 1, 2, 2.0, "0x1.3f49c0b9ad4dbp+0", 1, True,
+             "98b3e44661a1555333db2d6ce2b609d7"),
+            ((8, 1), 1, 5, 2.5, "0x1.bae93665f3b07p-1", 188, True,
+             "b332ebe266cd5232fd2f1a6ef6b3e78f"),
+            ((16, 1), 3, 0, 1.5, "0x1.803dd25d1a777p+0", 40, True,
+             "984bbf82d134165b1c7af7bbcbb52d7b"),
+            ((16, 1), 4, 2, 1.9, "0x1.c7f1bb20b37c8p-1", 14, True,
+             "f1318a323e35cfd311e8441d956010c9"),
+            ((8, 1), 2, 2, 1.3, "0x1.b1c551b020df5p+0", 544, True,
+             "9bcebe703599fc1929109242c0a50c2e"),
+            ((8, 1), 3, 2, 1.1, "0x1.e0bb5ce40f81dp+0", 38, True,
+             "b694b8179a1a741b525d3cd9fc967624"),
+            ((16, 1), 2, 0, 1.1, "0x1.1471ad6a83c8fp+2", 1000, False,
+             "20bd24030e32b3f1195f17e373ee5c45"),
+            ((4, 2), 2, 0, 1.5, "0x1.09a7de978e5ecp+1", 13, True,
+             "e47e8feee6e8bca3d81896d9541e956e"),
+            ((4, 2), 3, 3, 1.3, "0x1.29f40f50e1cc6p+1", 20, True,
+             "b4a5e99b4b4c294d2d0e7cef6d9be3e3"),
+        ],
+    )
+    def test_descent_is_pinned(
+        self, grid, hidden_size, seed, p, objective, iterations, converged, digest
+    ):
+        problem, _ = random_instance(GridShape(*grid), hidden_size, seed=seed)
+        assert problem.p == p
+        result = recover(problem, tol=1e-8, max_iters=1000)
+        assert result.objective.hex() == objective
+        assert result.iterations == iterations
+        assert result.converged is converged
+        values = result.signal.values.tobytes()
+        assert hashlib.sha256(values).hexdigest()[:32] == digest
+
+
+def _reference_oracle(problem, alphabet):
+    """Every alphabet signal, in itertools.product order, tested by numpy's FFT."""
+    shape = problem.shape
+    rows = np.array(list(itertools.product(sorted(set(alphabet)), repeat=shape.size)))
+    spectra = np.fft.fftn(
+        rows.reshape(-1, *shape.axes), axes=range(1, shape.dim + 1), norm="ortho"
+    ).reshape(len(rows), -1)
+    known = ~problem.hidden.mask()
+    err = np.abs(spectra[:, known] - problem.observed.values[known]).max(axis=1)
+    best = second = None
+    feasible = 0
+    for row in rows[err <= MATCH_TOL]:
+        feasible += 1
+        norm = lp_norm(row, problem.p)
+        if best is None or norm < best[0] - 1e-15:
+            second = None if best is None else best[0]
+            best = (norm, row)
+        elif second is None or norm < second:
+            second = norm
+    gap = None if second is None else second - best[0]
+    return best[1], best[0], feasible, gap is not None and gap <= 1e-9, gap
+
+
+def _tie_problem():
+    # 1 on evens vs 1 on odds, told apart only at the hidden frequency N/2
+    shape = GridShape(8, 1)
+    evens = Signal(shape, (np.arange(8) % 2 == 0).astype(float))
+    hidden = FreqSet.from_indices(shape, [4])
+    return RecoveryProblem(
+        shape=shape,
+        observed=mask_spectrum(forward(evens), hidden),
+        hidden=hidden,
+        p=2.0,
+        delta=1.0,
+    )
+
+
+def _constant_problem():
+    shape = GridShape(8, 1)
+    hidden = FreqSet.from_indices(shape, [0, 3, 5])
+    return RecoveryProblem(
+        shape=shape,
+        observed=mask_spectrum(forward(Signal.constant(shape, 2.0)), hidden),
+        hidden=hidden,
+        p=1.5,
+        delta=1.0,
+    )
+
+
+class TestOracleReference:
+    """brute_force_recover equals a plain enumeration, field by field."""
+
+    BINARY, TERNARY = (0.0, 1.0), (0.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("tail_rows", [None, 4, 20])  # 20: two ternary heads a block
+    @pytest.mark.parametrize(
+        "grid, hidden_size, seed, alphabet, well_posed",
+        [
+            ((4, 1), 1, 0, BINARY, True),  # the whole space is one tail block
+            ((8, 1), 2, 100, BINARY, True),
+            ((8, 1), 3, 90008, BINARY, False),  # three feasible signals
+            ((8, 1), 2, 0, TERNARY, False),
+            ((9, 1), 2, 3, BINARY, True),
+            ((9, 1), 3, 4, TERNARY, False),
+            ((4, 2), 2, 901, BINARY, True),
+        ],
+    )
+    def test_matches_plain_enumeration(
+        self, monkeypatch, tail_rows, grid, hidden_size, seed, alphabet, well_posed
+    ):
+        from znsynth import recovery
+
+        if tail_rows is not None:
+            monkeypatch.setattr(recovery, "ORACLE_TAIL_ROWS", tail_rows)
+        problem, _ = random_instance(
+            GridShape(*grid), hidden_size, seed=seed, alphabet=alphabet,
+            well_posed=well_posed,
+        )
+        self._check(problem, alphabet)
+
+    @pytest.mark.parametrize("tail_rows", [None, 1])
+    def test_tie_and_single_level(self, monkeypatch, tail_rows):
+        from znsynth import recovery
+
+        if tail_rows is not None:
+            monkeypatch.setattr(recovery, "ORACLE_TAIL_ROWS", tail_rows)
+        assert self._check(_tie_problem(), self.BINARY).ambiguous
+        assert self._check(_constant_problem(), (2.0,)).feasible_count == 1
+
+    @staticmethod
+    def _check(problem, alphabet):
+        values, objective, feasible, ambiguous, gap = _reference_oracle(problem, alphabet)
+        result = brute_force_recover(problem, alphabet)
+        expected = Signal(problem.shape, values).values
+        assert result.signal.values.tobytes() == expected.tobytes()
+        assert result.objective == objective
+        assert result.feasible_count == feasible
+        assert result.ambiguous == ambiguous
+        assert result.runner_up_gap == gap
+        return result
