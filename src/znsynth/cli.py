@@ -484,39 +484,14 @@ def cmd_sweep(ns) -> int:
 # ------------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="znsynth",
-        description=(
-            "Workbench for sup-norm synthesis bounds, extremal frequency "
-            "sets, and exact signal recovery on Z_N^d."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, **kwargs):
-        sp = sub.add_parser(name, help=EXPLANATIONS[name][:60] + "...", **kwargs)
-        sp.add_argument(
-            "--explain",
-            action="store_true",
-            help="describe what this command measures and exit",
-        )
-        sp.add_argument(
-            "--seed",
-            type=int,
-            default=_default_seed(),
-            help=f"RNG seed (default from ${SEED_ENV}, else 0)",
-        )
-        return sp
-
-    sp = add("transform")
+def _transform_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--input", help="input JSON document")
     sp.add_argument("--output", help="output JSON document")
     sp.add_argument("--direction", choices=["forward", "inverse"], default="forward")
     sp.set_defaults(func=cmd_transform)
 
-    sp = add("verify")
+
+def _verify_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--which", choices=[SUPPORT_SIZE, INDICATOR_DUAL])
     sp.add_argument("--grid", type=parse_grid, help="optional consistency check, 'NxD'")
     sp.add_argument("--p", type=parse_exponent, default=2.0)
@@ -525,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="write the report JSON here (default stdout)")
     sp.set_defaults(func=cmd_verify)
 
-    sp = add("construct")
+
+def _construct_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--kind",
         choices=["random", "subspace", "flat", "small-norm", "normalized-signal"],
@@ -542,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--perp-out", help="where to write the annihilator set")
     sp.set_defaults(func=cmd_construct)
 
-    sp = add("phi-stats")
+
+def _phi_stats_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--set-file")
     sp.add_argument("--grid", type=parse_grid)
     sp.add_argument("--size", type=int)
@@ -553,7 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_phi_stats)
 
-    sp = add("lambda-search")
+
+def _lambda_search_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--grid", type=parse_grid)
     sp.add_argument("--size", type=int)
     sp.add_argument("--p", type=parse_exponent)
@@ -563,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_lambda_search)
 
-    sp = add("recover")
+
+def _recover_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--grid", type=parse_grid)
     sp.add_argument("--problem-file", help="JSON problem document to solve")
     sp.add_argument("--alphabet", type=parse_floats, help="e.g. '0,1'")
@@ -578,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--problem-out", help="also write the problem document here")
     sp.set_defaults(func=cmd_recover)
 
-    sp = add("sweep")
+
+def _sweep_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--alpha", type=float)
     sp.add_argument("--p-mode", choices=["critical", "fixed"], default="critical")
     sp.add_argument("--p", type=parse_exponent)
@@ -589,6 +569,53 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_sweep)
 
+
+# Each subcommand, in help order, with the function that adds its own flags.
+SUBCOMMANDS = {
+    "transform": _transform_flags,
+    "verify": _verify_flags,
+    "construct": _construct_flags,
+    "phi-stats": _phi_stats_flags,
+    "lambda-search": _lambda_search_flags,
+    "recover": _recover_flags,
+    "sweep": _sweep_flags,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The znsynth parser; given `command`, only that subcommand has its flags.
+
+    Every subcommand is registered with its help line either way, so
+    `znsynth --help` and the unknown-command error do not depend on
+    `command`.  A command line parses one subcommand's flags only, so
+    `main` builds just those; with `command` None every subcommand gets
+    its flags.
+    """
+    parser = argparse.ArgumentParser(
+        prog="znsynth",
+        description=(
+            "Workbench for sup-norm synthesis bounds, extremal frequency "
+            "sets, and exact signal recovery on Z_N^d."
+        ),
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add_flags in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=EXPLANATIONS[name][:60] + "...")
+        if command not in (None, name):
+            continue
+        sp.add_argument(
+            "--explain",
+            action="store_true",
+            help="describe what this command measures and exit",
+        )
+        sp.add_argument(
+            "--seed",
+            type=int,
+            default=_default_seed(),
+            help=f"RNG seed (default from ${SEED_ENV}, else 0)",
+        )
+        add_flags(sp)
     return parser
 
 
@@ -650,8 +677,9 @@ def check_flags(ns: argparse.Namespace) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    ns = build_parser(command).parse_args(argv)
     if getattr(ns, "explain", False):
         print(EXPLANATIONS[ns.command])
         return EXIT_OK

@@ -89,7 +89,12 @@ def separation_check(f: Signal, delta: float) -> bool:
     """
     if float(np.abs(f.values.imag).max(initial=0.0)) >= 1e-9:
         raise ValueError("separation check requires a real-valued signal")
-    vals = np.sort(f.values.real)
+    return _separated(f.values.real, delta)
+
+
+def _separated(values: np.ndarray, delta: float) -> bool:
+    """separation_check on an array of real values."""
+    vals = np.sort(values)
     gaps = np.diff(vals)
     distinct = gaps[gaps > VALUE_EQ_TOL]
     if distinct.size == 0:
@@ -533,11 +538,16 @@ def brute_force_recover(
     )
 
 
-def symmetric_hidden_set(shape: GridShape, size: int, seed) -> FreqSet:
-    """A random negation-closed frequency set with exactly `size` elements."""
+def _hidden_set_tables(shape: GridShape, size: int):
+    """What every symmetric hidden set of `size` members on `shape` is drawn from.
+
+    Returns (neg, fixed, pair_lo, choices): neg[i] is the index of -i over
+    the whole grid, fixed the self-paired indices, pair_lo the smaller index
+    of each (m, -m) pair, and choices the (pairs, singles) splits of `size`
+    the grid admits.  None of it depends on the draw.
+    """
     if size < 1:
         raise ValueError(f"hidden set size must be >= 1, got {size}")
-    rng = as_generator(seed)
     indices = np.arange(shape.size)
     neg = negate_indices(indices, shape)
     fixed = indices[neg == indices]
@@ -549,15 +559,32 @@ def symmetric_hidden_set(shape: GridShape, size: int, seed) -> FreqSet:
             choices.append((pairs, singles))
     if not choices:
         raise ValueError(f"no negation-closed set of size {size} exists on {shape}")
+    return neg, fixed, pair_lo, choices
+
+
+def _draw_hidden_set(rng: np.random.Generator, tables) -> list[int]:
+    """Members of one symmetric hidden set: a split, then its pairs and singles."""
+    neg, fixed, pair_lo, choices = tables
     pairs, singles = choices[rng.integers(len(choices))]
     members = []
     if pairs:
         lo = rng.choice(pair_lo, size=pairs, replace=False)
         members.extend(lo.tolist())
-        members.extend(negate_indices(lo, shape).tolist())
+        members.extend(neg[lo].tolist())
     if singles:
         members.extend(rng.choice(fixed, size=singles, replace=False).tolist())
-    return FreqSet.from_indices(shape, members)
+    return members
+
+
+def symmetric_hidden_set(shape: GridShape, size: int, seed) -> FreqSet:
+    """A random negation-closed frequency set with exactly `size` elements.
+
+    The draw picks a (pairs, singles) split of `size` uniformly among those
+    the grid admits, then that many (m, -m) pairs and self-paired frequencies
+    without replacement.
+    """
+    tables = _hidden_set_tables(shape, size)
+    return FreqSet.from_indices(shape, _draw_hidden_set(as_generator(seed), tables))
 
 
 def random_instance(
@@ -573,9 +600,13 @@ def random_instance(
     """A random alphabet-valued instance satisfying the uniqueness threshold.
 
     Draws a separated non-constant alphabet signal and a symmetric hidden
-    set, then picks the largest exponent from p_grid for which
-    ||truth||_p < delta / (2 sqrt(c_size)); combinations admitting no such
-    exponent are rejected and redrawn.
+    set (as :func:`symmetric_hidden_set` does, from the same generator),
+    then picks the first exponent of p_grid (the largest, for the default
+    descending grid) for which ||truth||_p < delta / (2 sqrt(c_size));
+    combinations admitting no such exponent are rejected and redrawn.
+    Every hidden set has hidden_size members, so the limit for each p is
+    computed once per call, and the spectrum and problem are built only
+    for a draw that passes.
 
     The threshold guarantees uniqueness of the separated candidate only in
     the p >= 2 regime of the sup-norm bound; for the exponents below 2
@@ -583,6 +614,13 @@ def random_instance(
     admit two feasible alphabet signals.  With well_posed=True (default)
     such draws are rejected by enumerating the feasible alphabet signals,
     so the returned instance always determines its truth.
+
+    Raises ValueError before any draw when no draw could succeed (delta
+    <= 0, a p_grid entry that is infinite or below 1, an empty p_grid, or
+    a hidden size the grid has no negation-closed set of), and
+    RecoveryError after max_tries draws, saying how many were not
+    separated, had no admissible exponent, or were ambiguous, and the
+    smallest norm / limit seen.
     """
     rng = as_generator(seed)
     levels = np.asarray(sorted(set(float(a) for a in alphabet)))
@@ -590,16 +628,38 @@ def random_instance(
         raise ValueError("alphabet must contain at least two values")
     if delta is None:
         delta = float(np.diff(levels).min())
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    if not p_grid:
+        raise ValueError("p_grid must not be empty")
+    for p in p_grid:
+        if not 1 <= p < math.inf:
+            raise ValueError(f"norm exponent must be finite and >= 1, got {p}")
+    tables = _hidden_set_tables(shape, hidden_size)
+    # the threshold of RecoveryProblem, with |hidden| = hidden_size
+    limits = [
+        delta / (2.0 * math.sqrt(hidden_size / shape.modulus ** (2.0 * shape.dim / p)))
+        for p in p_grid
+    ]
+    unseparated = no_exponent = ambiguous = 0
+    best_ratio = math.inf
     for _ in range(max_tries):
         values = levels[rng.integers(levels.size, size=shape.size)]
-        truth = Signal(shape, values)
-        if not separation_check(truth, delta):
+        if not _separated(values, delta):
+            unseparated += 1
             continue
-        hidden = symmetric_hidden_set(shape, hidden_size, rng)
-        for p in p_grid:
-            k = 2.0 * shape.dim / p
-            c_size = hidden.size / shape.modulus**k
-            if lp_norm(truth, p) < delta / (2.0 * math.sqrt(c_size)):
+        members = _draw_hidden_set(rng, tables)
+        # lp_norm's expression (the same reduction as np.sum); the signal
+        # is non-constant, so top > 0
+        mags = np.abs(values)
+        top = float(mags.max())
+        r = mags / top
+        for p, limit in zip(p_grid, limits):
+            norm = top * float((r**p).sum()) ** (1.0 / p)
+            best_ratio = min(best_ratio, norm / limit)
+            if norm < limit:
+                truth = Signal(shape, values)
+                hidden = FreqSet.from_indices(shape, members)
                 problem = RecoveryProblem(
                     shape=shape,
                     observed=mask_spectrum(forward(truth), hidden),
@@ -610,9 +670,15 @@ def random_instance(
                 if well_posed:
                     candidates = alphabet_candidates(problem, levels)
                     if candidates is not None and len(candidates) != 1:
+                        ambiguous += 1
                         break  # ambiguous draw; redraw signal and set
                 return problem, truth
+        else:
+            no_exponent += 1
     raise RecoveryError(
         f"no instance satisfying the uniqueness threshold found in "
-        f"{max_tries} draws (grid {shape}, hidden size {hidden_size})"
+        f"{max_tries} draws (grid {shape}, hidden size {hidden_size}): "
+        f"{unseparated} not separated, {no_exponent} with no admissible "
+        f"exponent, {ambiguous} ambiguous; smallest norm / limit "
+        + ("none" if best_ratio == math.inf else f"{best_ratio:.6g}")
     )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from znsynth.cli import (
+    SUBCOMMANDS,
     build_parser,
     check_flags,
     main,
@@ -341,3 +342,48 @@ def test_readme_command_lines_pass_the_flag_check():
     assert len(lines) >= 11
     for line in lines:
         check_flags(build_parser().parse_args(shlex.split(line)[1:]))
+
+
+def _readme_argvs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("znsynth ")]
+
+
+def _exit_and_output(parse, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestScopedParser:
+    """build_parser(command) parses like the full parser."""
+
+    def test_readme_command_lines_parse_the_same(self):
+        argvs = _readme_argvs()
+        assert len(argvs) >= 11
+        for argv in argvs:
+            scoped = build_parser(argv[0]).parse_args(argv)
+            assert vars(scoped) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("command", list(SUBCOMMANDS))
+    def test_subcommand_help_is_unchanged(self, command, capsys):
+        full = _exit_and_output(lambda: build_parser().parse_args([command, "--help"]), capsys)
+        scoped = _exit_and_output(lambda: main([command, "--help"]), capsys)
+        assert scoped == full
+        assert full[0] == 0 and "--seed" in full[1]
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        code, out, _ = _exit_and_output(lambda: main(["--help"]), capsys)
+        assert code == 0
+        for command in SUBCOMMANDS:
+            assert command in out
+        scoped = _exit_and_output(lambda: build_parser("recover").parse_args(["--help"]), capsys)
+        assert scoped == (code, out, "")
+
+    def test_unknown_subcommand_exits_2(self, capsys):
+        code, _, err = _exit_and_output(lambda: main(["recovr", "--seed", "1"]), capsys)
+        assert code == 2
+        assert "invalid choice: 'recovr'" in err

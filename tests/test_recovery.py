@@ -437,6 +437,116 @@ class TestInstanceGeneration:
             assert separation_check(truth, problem.delta)
 
 
+class TestInstanceInputs:
+    @pytest.mark.parametrize("kwargs", [
+        {"delta": 0.0},
+        {"delta": -1.0},
+        {"p_grid": (math.inf,)},
+        {"p_grid": (0.5,)},
+        {"p_grid": ()},
+        {"hidden_size": 0},
+    ])
+    def test_rejected_before_the_first_draw(self, kwargs):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        args = {"shape": GridShape(8, 1), "hidden_size": 2, "seed": rng, **kwargs}
+        with pytest.raises(ValueError):
+            random_instance(**args)
+        assert rng.bit_generator.state == state
+
+    def test_failure_says_why_each_draw_was_rejected(self):
+        with pytest.raises(RecoveryError) as err:
+            random_instance(GridShape(8, 1), 4, seed=175, max_tries=8)
+        assert str(err.value) == (
+            "no instance satisfying the uniqueness threshold found in 8 draws "
+            "(grid 8x1, hidden size 4): 1 not separated, 6 with no admissible "
+            "exponent, 1 ambiguous; smallest norm / limit 0.905724"
+        )
+
+    def test_failure_without_a_separated_draw(self):
+        with pytest.raises(RecoveryError, match="5 not separated, 0 with no "
+                           "admissible exponent, 0 ambiguous; smallest norm / "
+                           "limit none"):
+            random_instance(GridShape(8, 1), 2, seed=0, delta=5.0, max_tries=5)
+
+
+def _instances_digest(instances) -> str:
+    """sha256 over p, delta, hidden members, observed and truth of each instance.
+
+    A None instance (a draw that raised RecoveryError) hashes as a marker.
+    """
+    h = hashlib.sha256()
+    for instance in instances:
+        if instance is None:
+            h.update(b"RecoveryError")
+            continue
+        problem, truth = instance
+        h.update(f"{problem.p.hex()} {problem.delta.hex()}".encode())
+        h.update(problem.hidden.members.tobytes())
+        h.update(problem.observed.values.tobytes())
+        h.update(truth.values.tobytes())
+    return h.hexdigest()
+
+
+def _instance_or_none(*args, **kwargs):
+    try:
+        return random_instance(*args, **kwargs)
+    except RecoveryError:
+        return None
+
+
+class TestGoldenInstances:
+    """random_instance and symmetric_hidden_set outputs, pinned by digest.
+
+    Gate 7 and the benchmark solve these draws, so any change to the
+    generator calls or the threshold test shows here as a new digest.
+    """
+
+    def test_gate_7_instances(self):
+        draws = (
+            random_instance(GridShape(8 if i % 2 == 0 else 16, 1), 2 + i % 3,
+                            seed=70_000 + i)
+            for i in range(100)
+        )
+        assert _instances_digest(draws) == (
+            "cccd31d2f486a1c53cb8fd4dcb1696901ca121e894b8a31c264c9bbd7ee8aa28"
+        )
+
+    def test_ill_posed_8x1_instances(self):
+        draws = (
+            random_instance(GridShape(8, 1), 2 + seed % 3, seed=seed, well_posed=False)
+            for seed in range(90_000, 90_100)
+        )
+        assert _instances_digest(draws) == (
+            "7d9270e50f5702c33e18d5011b763ae696e29b933903e6a98999d4fa440c9af4"
+        )
+
+    @pytest.mark.parametrize("alphabet, digest", [
+        ((0.0, 1.0, 2.0), "59a0110fe16cfb796bddd1e029adcdfb39721373a7d6b10dc49980df8e4f7dd9"),
+        ((-1.0, 0.5, 3.0), "403a8a7b7d75efefca7f80ca276683018cf28619b7422101142fb810c18e2e23"),
+    ])
+    def test_three_level_alphabets(self, alphabet, digest):
+        draws = (
+            _instance_or_none(GridShape(*grid), size, seed=seed, alphabet=alphabet,
+                              well_posed=seed % 2 == 0)
+            for grid in ((4, 2), (9, 1))
+            for size in (1, 2)
+            for seed in range(3)
+        )
+        assert _instances_digest(draws) == digest
+
+    @pytest.mark.parametrize("grid, size, seed, members", [
+        ((16, 1), 3, 0, [6, 8, 10]),
+        ((9, 1), 3, 1, [0, 2, 7]),
+        ((4, 2), 4, 2, [1, 3, 4, 12]),
+        ((8, 1), 1, 3, [4]),
+        ((5, 2), 5, 4, [0, 10, 14, 15, 16]),
+        ((6, 3), 6, 5, [6, 21, 30, 102, 108, 150]),
+    ])
+    def test_hidden_set_members(self, grid, size, seed, members):
+        assert symmetric_hidden_set(GridShape(*grid), size, seed).members.tolist() == members
+
+
 class TestGoldenEnumerations:
     """Exact outputs of the two enumerators on fixed instances, compared with ==."""
 
