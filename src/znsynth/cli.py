@@ -109,7 +109,8 @@ EXPLANATIONS = {
         "with a hidden symmetric frequency set: minimize ||g||_p over real "
         "signals matching the observed coefficients, snap to the declared "
         "alphabet, and certify uniqueness via ||f||_p < delta/(2 sqrt("
-        "c_size)).  Optionally cross-checked against exhaustive enumeration."
+        "c_size)), a proof for p >= 2 only.  Optionally cross-checked "
+        "against exhaustive enumeration."
     ),
     "sweep": (
         "Tabulate, over a range of grid sizes N with |S| = ceil(N^alpha), "
@@ -138,7 +139,7 @@ def parse_exponent(text: str) -> float:
     if text.strip().lower() in ("inf", "infinity"):
         return math.inf
     p = float(text)
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"exponent must be >= 1 or 'inf', got {text!r}")
     return p
 

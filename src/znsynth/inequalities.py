@@ -101,25 +101,18 @@ def _report(which: str, f: Signal, S: FreqSet, p: float, lhs: float, rhs: float)
 
 
 def verify_support_bound(f: Signal, S: FreqSet, p: float) -> InequalityReport:
-    """Measure ||f||_inf against sqrt(|S|/N^(2d/p)) * ||f||_p.
+    """Measure ||f||_inf against vanishing_threshold(|S|, grid, p) * ||f||_p.
 
     Requires supp(f_hat) inside S (checked numerically) and finite p >= 1.
-    The bound is a theorem for p >= 2 (Cauchy-Schwarz on the inversion sum,
-    Plancherel, then the power-mean step ||f||_2 <= N^(d(1/2-1/p)) ||f||_p).
-    For 1 <= p < 2 that last step reverses and the stated coefficient can
-    fail (a point mass with S the full grid already violates it); the
-    provable coefficient in that regime is |S|^(1/2) * N^(-d/2), via
-    ||f||_2 <= ||f||_p.  This function always measures the stated formula
+    The coefficient sqrt(|S|/N^(2d/p)) is a theorem only for p >= 2 (see
+    :func:`vanishing_threshold`); a point mass with S the full grid already
+    violates it at p = 1.  This function always measures the stated formula
     and raises BoundViolation when the claimed inequality does not hold.
     """
-    if p == math.inf:
-        raise ValueError("support-size bound requires finite p")
-    if p < 1:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
+    # an empty S holds only the zero signal: rhs 0, as for every bound
+    coeff = vanishing_threshold(S.size, f.shape, p) if S.size else 0.0
     _check_support(f, S)
-    shape = f.shape
     lhs = lp_norm(f, math.inf)
-    coeff = math.sqrt(S.size / shape.modulus ** (2 * shape.dim / p))
     rhs = coeff * lp_norm(f, p)
     return _report(SUPPORT_SIZE, f, S, p, lhs, rhs)
 
@@ -143,18 +136,25 @@ def verify_indicator_bound(f: Signal, S: FreqSet, p: float) -> InequalityReport:
 
 
 def vanishing_threshold(set_size: int, shape: GridShape, p: float) -> float:
-    """The coefficient |S|^(1/2) * N^(-d/p) of the support-size bound.
+    """The coefficient sqrt(|S| / N^(2d/p)) of the support-size bound.
 
+    Every reader of the coefficient calls this function: the support-size
+    check, the sweep table, and a recovery problem's uniqueness threshold.
     Multiplying by a uniform L^p bound C gives an upper bound on
     ||f||_inf.  For fixed |S| ~ N^alpha the coefficient tends to zero
     exactly when p < 2d/alpha, which forces any uniformly L^p-bounded
     family with such spectra below every positive level as N grows.
+
+    It is a theorem for p >= 2 only (Cauchy-Schwarz on the inversion sum,
+    Plancherel, then the power-mean step ||f||_2 <= N^(d(1/2-1/p)) ||f||_p).
+    For 1 <= p < 2 that last step reverses, and the proven coefficient is
+    this function's value at p = 2, |S|^(1/2) N^(-d/2), via ||f||_2 <= ||f||_p.
     """
-    if p == math.inf or p < 1:
-        raise ValueError(f"vanishing threshold requires finite p >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"support-size coefficient requires finite p >= 1, got {p}")
     if set_size < 1:
         raise ValueError("set size must be positive")
-    return math.sqrt(set_size) * shape.modulus ** (-shape.dim / p)
+    return math.sqrt(set_size / shape.modulus ** (2.0 * shape.dim / p))
 
 
 def indicator_dual_norm_bound(S: FreqSet, p: float) -> float:

@@ -3,9 +3,10 @@
 A real signal f on Z_N^d is transmitted as its spectrum, with the
 coefficients on a hidden set S withheld.  When the values of f are
 delta-separated and ||f||_(2d/k) < delta / (2 sqrt(C_size)), where
-|S| = C_size * N^k, the signal is the unique feasible delta-separated
-candidate, and it is recovered by minimizing the L^(2d/k) norm over all
-real signals whose spectrum matches the observed coefficients.
+|S| = C_size * N^k and 2d/k >= 2, the signal is the unique feasible
+delta-separated candidate, and it is recovered by minimizing the L^(2d/k)
+norm over all real signals whose spectrum matches the observed
+coefficients.
 
 The minimizer is computed by first-order descent over the free hidden
 coefficients; real-valuedness is enforced structurally by optimizing one
@@ -34,8 +35,8 @@ import numpy as np
 
 from .errors import EnumerationBudgetExceeded, RecoveryError
 from .fourier import FreqSet, Signal, Spectrum, forward, inverse
-from .inequalities import lp_norm
-from .lattice import GridShape, all_coords, decode, negate_indices
+from .inequalities import lp_norm, vanishing_threshold
+from .lattice import GridShape, all_coords, negate_indices
 from .rng import as_generator
 
 #: Feasibility tolerance: a reconstruction must match the observed
@@ -74,7 +75,10 @@ def uniqueness_certificate(norm: float, delta: float, c_size: float) -> bool:
 
     This is the contrapositive of the chain
     delta <= ||h||_inf <= 2 * ||f||_(2d/k) * sqrt(C_size)
-    applied to the difference h of two feasible separated candidates.
+    applied to the difference h of two feasible separated candidates.  The
+    middle step is the support-size bound, a theorem for p = 2d/k >= 2
+    only; below p = 2 a True here proves nothing, and two feasible
+    separated candidates can both pass it.
     """
     if norm < 0 or delta < 0 or c_size < 0:
         raise ValueError("certificate inputs must be non-negative")
@@ -119,9 +123,9 @@ class RecoveryProblem:
     delta: float
 
     def __post_init__(self):
-        if self.p == math.inf or self.p < 1:
+        if not 1 <= self.p < math.inf:
             raise ValueError(f"norm exponent must be finite and >= 1, got {self.p}")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if self.hidden.size == 0:
             raise ValueError("hidden set must be non-empty")
@@ -149,8 +153,8 @@ class RecoveryProblem:
 
     @property
     def threshold(self) -> float:
-        """Norm level below which recovery is provably unique."""
-        return self.delta / (2.0 * math.sqrt(self.c_size))
+        """Norm level below which recovery is unique: a theorem for p >= 2 only."""
+        return self.delta / (2.0 * vanishing_threshold(self.hidden.size, self.shape, self.p))
 
     @functools.cached_property
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -187,43 +191,32 @@ class RecoveryResult:
     snapped: bool
 
 
-def _negation_orbits(problem: RecoveryProblem) -> list[tuple[int, int]]:
-    """Hidden indices grouped as (m, -m) pairs; self-paired appear as (m, m)."""
-    members = problem.hidden.members
-    neg = negate_indices(members, problem.shape)
-    orbits = []
-    seen: set[int] = set()
-    for m, mm in zip(members.tolist(), neg.tolist()):
-        if m in seen:
-            continue
-        seen.add(m)
-        seen.add(mm)
-        orbits.append((m, mm))
-    return orbits
-
-
 def reconstruction_basis(problem: RecoveryProblem) -> tuple[np.ndarray, np.ndarray]:
     """Affine parameterization of the feasible real signals.
 
     Returns (g0, B): g0 is the minimum-energy completion (hidden
     coefficients zero) and the columns of B span the real signals whose
     spectra live on the hidden set, so every feasible candidate is
-    exactly g0 + B @ v.  One self-paired frequency contributes one column
-    (real coefficient); a (m, -m) pair contributes a cosine and a sine
-    column for the shared (re, im) coefficient.  Both arrays are read-only.
+    exactly g0 + B @ v.  Each negation orbit of the hidden set is led by
+    its smaller index, and the leads are taken in increasing order.  A
+    self-paired lead contributes one column (real coefficient); a (m, -m)
+    pair contributes a cosine and a sine column for the shared (re, im)
+    coefficient.  Both arrays are read-only.
     """
     shape = problem.shape
     root = shape.size**-0.5
     coords = all_coords(shape)
-    cols = []
-    for m, mm in _negation_orbits(problem):
-        angles = 2.0 * np.pi * (coords @ np.array(decode(m, shape)) % shape.modulus) / shape.modulus
-        if m == mm:
-            cols.append(np.cos(angles) * root)
-        else:
-            cols.append(2.0 * np.cos(angles) * root)
-            cols.append(-2.0 * np.sin(angles) * root)
-    B = np.stack(cols, axis=1)
+    members = problem.hidden.members
+    neg = negate_indices(members, shape)
+    is_lead = members <= neg
+    leads, paired = members[is_lead], (members != neg)[is_lead]
+    n = shape.modulus
+    angles = 2.0 * np.pi * (coords @ coords[leads].T % n) / n
+    # a cosine and a sine column per lead; a self-paired lead keeps its cosine alone
+    cos = np.where(paired, 2.0, 1.0) * np.cos(angles)
+    cols = np.stack([cos, -2.0 * np.sin(angles)], axis=2).reshape(len(coords), -1)
+    keep = np.stack([np.ones_like(paired), paired], axis=1).ravel()
+    B = np.compress(keep, cols, axis=1) * root  # C order: the descent's bits depend on it
     g0 = inverse(problem.observed).values.real
     g0.flags.writeable = B.flags.writeable = False
     return g0, B
@@ -347,11 +340,9 @@ def recover(
                 snapped = True
 
     norm = lp_norm(signal, p)
-    cert = UniquenessCertificate(
-        threshold=problem.threshold,
-        norm_at_solution=norm,
-        unique=uniqueness_certificate(norm, problem.delta, problem.c_size),
-    )
+    threshold = problem.threshold
+    # the verdict reads the reported threshold, so the two cannot disagree
+    cert = UniquenessCertificate(threshold=threshold, norm_at_solution=norm, unique=norm < threshold)
     return RecoveryResult(
         signal=signal,
         objective=norm,
@@ -616,7 +607,7 @@ def random_instance(
     so the returned instance always determines its truth.
 
     Raises ValueError before any draw when no draw could succeed (delta
-    <= 0, a p_grid entry that is infinite or below 1, an empty p_grid, or
+    <= 0, a p_grid entry that is infinite, NaN or below 1, an empty p_grid, or
     a hidden size the grid has no negation-closed set of), and
     RecoveryError after max_tries draws, saying how many were not
     separated, had no admissible exponent, or were ambiguous, and the
@@ -632,15 +623,9 @@ def random_instance(
         raise ValueError(f"delta must be positive, got {delta}")
     if not p_grid:
         raise ValueError("p_grid must not be empty")
-    for p in p_grid:
-        if not 1 <= p < math.inf:
-            raise ValueError(f"norm exponent must be finite and >= 1, got {p}")
     tables = _hidden_set_tables(shape, hidden_size)
     # the threshold of RecoveryProblem, with |hidden| = hidden_size
-    limits = [
-        delta / (2.0 * math.sqrt(hidden_size / shape.modulus ** (2.0 * shape.dim / p)))
-        for p in p_grid
-    ]
+    limits = [delta / (2.0 * vanishing_threshold(hidden_size, shape, p)) for p in p_grid]
     unseparated = no_exponent = ambiguous = 0
     best_ratio = math.inf
     for _ in range(max_tries):

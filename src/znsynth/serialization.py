@@ -82,7 +82,7 @@ def _values_to_pairs(values: np.ndarray) -> list[list[float]]:
 def _pairs_to_values(pairs) -> np.ndarray:
     try:
         return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed values entry: {exc}") from exc
 
 
@@ -96,7 +96,10 @@ def signal_to_doc(f: Signal | Spectrum) -> dict:
 
 
 def signal_from_doc(doc: dict) -> Signal | Spectrum:
-    shape = GridShape(modulus=int(doc["modulus"]), dim=int(doc["dim"]))
+    try:
+        shape = GridShape(modulus=int(doc["modulus"]), dim=int(doc["dim"]))
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"malformed signal document: {exc}") from exc
     values = _pairs_to_values(doc["values"])
     domain = doc.get("domain", "space")
     if domain == "freq":
@@ -115,8 +118,11 @@ def set_to_doc(S: FreqSet) -> dict:
 
 
 def set_from_doc(doc: dict) -> FreqSet:
-    shape = GridShape(modulus=int(doc["modulus"]), dim=int(doc["dim"]))
-    return FreqSet.from_indices(shape, (int(m) for m in doc["members"]))
+    try:
+        shape = GridShape(modulus=int(doc["modulus"]), dim=int(doc["dim"]))
+        return FreqSet.from_indices(shape, (int(m) for m in doc["members"]))
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"malformed set document: {exc}") from exc
 
 
 def report_to_doc(report: InequalityReport) -> dict:
@@ -147,25 +153,30 @@ def problem_to_doc(problem: RecoveryProblem) -> dict:
 
 
 def problem_from_doc(doc: dict) -> RecoveryProblem:
-    shape = GridShape(modulus=int(doc["grid"]["N"]), dim=int(doc["grid"]["d"]))
-    hidden = FreqSet.from_indices(shape, (int(m) for m in doc["hidden"]))
-    values = np.zeros(shape.size, dtype=np.complex128)
     try:
-        for i, entry in enumerate(doc["observed"]):
-            if entry is not None:
-                values[i] = complex(entry[0], entry[1])
+        shape = GridShape(modulus=int(doc["grid"]["N"]), dim=int(doc["grid"]["d"]))
+        hidden = FreqSet.from_indices(shape, (int(m) for m in doc["hidden"]))
+        observed = doc["observed"]
+        if len(observed) != shape.size:
+            raise ValueError(
+                f"observed has {len(observed)} entries, expected N^d = {shape.size}"
+            )
+        # null entries read as zero; the problem zeroes the hidden ones anyway
+        values = _pairs_to_values([(0.0, 0.0) if e is None else e for e in observed])
+        p, delta = _decode_extended(doc["p"]), float(doc["delta"])
+        declared = doc.get("c_size")
+        declared = None if declared is None else float(declared)
     except (TypeError, IndexError) as exc:
-        raise ValueError(f"malformed observed entry: {exc}") from exc
+        raise ValueError(f"malformed problem document: {exc}") from exc
     problem = RecoveryProblem(
         shape=shape,
         observed=Spectrum(shape, values),
         hidden=hidden,
-        p=_decode_extended(doc["p"]),
-        delta=float(doc["delta"]),
+        p=p,
+        delta=delta,
     )
-    declared = doc.get("c_size")
     if declared is not None and not math.isclose(
-        float(declared), problem.c_size, rel_tol=1e-9, abs_tol=1e-12
+        declared, problem.c_size, rel_tol=1e-9, abs_tol=1e-12
     ):
         raise ValueError(
             f"declared c_size {declared} is inconsistent: |hidden|/N^k = "

@@ -387,3 +387,102 @@ class TestScopedParser:
         code, _, err = _exit_and_output(lambda: main(["recovr", "--seed", "1"]), capsys)
         assert code == 2
         assert "invalid choice: 'recovr'" in err
+
+
+def _exit_code(args) -> int:
+    """main's exit code, including argparse's exit on a bad flag value."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestNanInputs:
+    """A NaN exponent or delta is malformed input, never a run that prints NaN."""
+
+    def test_parse_exponent_rejects_nan(self):
+        with pytest.raises(ValueError):
+            parse_exponent("nan")
+
+    def test_verify(self, tmp_path, capsys):
+        s, f = tmp_path / "s.json", tmp_path / "f.json"
+        run(["construct", "--kind", "random", "--grid", "16x1", "--size", "4",
+             "--seed", "5", "--out", str(s)])
+        run(["construct", "--kind", "normalized-signal", "--set-file", str(s),
+             "--out", str(f)])
+        assert _exit_code(["verify", "--which", "support-size", "--p", "nan",
+                           "--signal-file", str(f), "--set-file", str(s)]) == 2
+        assert "bound = nan" not in capsys.readouterr().err
+
+    def test_lambda_search(self, capsys):
+        assert _exit_code(["lambda-search", "--grid", "16x1", "--size", "4",
+                           "--p", "nan"]) == 2
+        assert "NaN" not in capsys.readouterr().out
+
+    def test_construct_small_norm(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert _exit_code(["construct", "--kind", "small-norm", "--grid", "16x1",
+                           "--size", "4", "--p", "nan", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_sweep(self, capsys):
+        assert _exit_code(["sweep", "--alpha", "0.5", "--p-mode", "fixed",
+                           "--p", "nan", "--grid-range", "8..16"]) == 2
+        assert "nan" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field", ["p", "delta"])
+    def test_problem_file(self, tmp_path, capsys, field):
+        problem, _ = random_instance(GridShape(8, 1), 2, seed=3)
+        doc = problem_to_doc(problem)
+        del doc["c_size"]  # optional; a NaN p would fail its consistency check
+        doc[field] = math.nan
+        src = tmp_path / "problem.json"
+        src.write_text(json.dumps(doc))
+        assert run(["recover", "--problem-file", str(src), "--no-oracle"]) == 2
+        assert "NaN" not in capsys.readouterr().out
+
+
+_PROBLEM_DOC = {"grid": {"N": 4, "d": 1}, "p": 1.5, "delta": 1.0, "hidden": [0],
+                "observed": [None, [0, 0], [0, 0], [0, 0]]}
+
+
+class TestMalformedDocuments:
+    """A document field of the wrong kind exits 2 with a message, not a traceback."""
+
+    def test_well_formed_problem_document_is_accepted(self, tmp_path):
+        src = tmp_path / "problem.json"
+        src.write_text(json.dumps(_PROBLEM_DOC))
+        assert run(["recover", "--problem-file", str(src), "--no-oracle"]) == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("p", None),
+        ("delta", None),
+        ("grid", [4, 1]),
+        ("grid", {"N": None, "d": 1}),
+        ("hidden", None),
+        ("observed", [None]),  # one entry on a 4-point grid
+        ("observed", [None, [0, 0], [1, 0, 9], [0, 0]]),  # a third number
+        ("c_size", [1]),
+        ("c_size", {}),
+    ])
+    def test_problem_file(self, tmp_path, capsys, field, value):
+        src = tmp_path / "problem.json"
+        src.write_text(json.dumps({**_PROBLEM_DOC, field: value}))
+        assert run(["recover", "--problem-file", str(src), "--no-oracle"]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_signal_file_modulus(self, tmp_path, capsys):
+        src = tmp_path / "f.json"
+        src.write_text(json.dumps({"modulus": None, "dim": 1, "domain": "space",
+                                   "values": [[0, 0]] * 4}))
+        assert run(["transform", "--input", str(src),
+                    "--output", str(tmp_path / "F.json")]) == 2
+        assert "malformed signal document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["members", "dim"])
+    def test_set_file(self, tmp_path, capsys, field):
+        src = tmp_path / "s.json"
+        src.write_text(json.dumps({"modulus": 8, "dim": 1, "members": [1, 7],
+                                   field: None}))
+        assert run(["phi-stats", "--set-file", str(src)]) == 2
+        assert "malformed set document" in capsys.readouterr().err

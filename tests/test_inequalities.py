@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from znsynth.errors import SupportViolation
+from znsynth.errors import BoundViolation, SupportViolation
 from znsynth.fourier import FreqSet, Signal, Spectrum, forward, indicator_spectrum, inverse
 from znsynth.inequalities import (
     dual_exponent,
@@ -143,6 +143,27 @@ class TestSupportBound:
         report = verify_support_bound(f, FreqSet.from_indices(shape, [1]), 2)
         assert report.slack_ratio == math.inf
 
+    def test_empty_set_passes_with_infinite_slack(self):
+        # only the zero signal has its spectrum in the empty set
+        shape = GridShape(4, 1)
+        report = verify_support_bound(Signal(shape, np.zeros(4)), FreqSet(shape), 2)
+        assert (report.lhs, report.rhs, report.slack_ratio) == (0.0, 0.0, math.inf)
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, 6])
+    def test_rhs_is_the_coefficient_times_the_norm(self, p):
+        rng = np.random.default_rng(int(10 * p))
+        for _ in range(50):
+            shape = GridShape(int(rng.integers(2, 9)), int(rng.integers(1, 3)))
+            size = int(rng.integers(1, shape.size + 1))
+            S = FreqSet(shape, rng.choice(shape.size, size=size, replace=False))
+            f = random_bandlimited(shape, S, rng)
+            coeff = math.sqrt(S.size / shape.modulus ** (2.0 * shape.dim / p))
+            try:
+                rhs = verify_support_bound(f, S, p).rhs
+            except BoundViolation:
+                continue  # p < 2: the stated coefficient can fail
+            assert rhs == coeff * lp_norm(f, p)
+
 
 class TestIndicatorBound:
     @pytest.mark.parametrize("p", [1, 4 / 3, 2, 4, math.inf])
@@ -202,6 +223,29 @@ class TestVanishingThreshold:
             vanishing_threshold(4, GridShape(8, 1), math.inf)
         with pytest.raises(ValueError):
             vanishing_threshold(0, GridShape(8, 1), 2)
+
+    def test_rejects_nan_exponent(self):
+        with pytest.raises(ValueError):
+            vanishing_threshold(4, GridShape(8, 1), math.nan)
+
+    _GRID = [
+        (s, n, d, p)
+        for s in (1, 2, 3, 5, 17, 100)
+        for n in (2, 3, 8, 9, 16, 31, 64, 1024)
+        for d in (1, 2, 3)
+        for p in (1, 1.1, 1.25, 4 / 3, 1.5, 2, 2.5, 3, 4, 6, 7.5)
+    ]
+
+    def test_is_the_support_size_expression_bit_for_bit(self):
+        for s, n, d, p in self._GRID:
+            expected = math.sqrt(s / n ** (2.0 * d / p))
+            assert vanishing_threshold(s, GridShape(n, d), p) == expected, (s, n, d, p)
+
+    def test_agrees_with_the_product_form(self):
+        for s, n, d, p in self._GRID:
+            product = math.sqrt(s) * n ** (-d / p)
+            value = vanishing_threshold(s, GridShape(n, d), p)
+            assert value == pytest.approx(product, rel=1e-12, abs=0), (s, n, d, p)
 
 
 class TestIndicatorDualNormBound:

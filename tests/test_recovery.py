@@ -18,6 +18,7 @@ from znsynth.recovery import (
     mask_spectrum,
     objective_and_gradient,
     random_instance,
+    reconstruction_basis,
     recover,
     separation_check,
     signal_from_parameters,
@@ -127,6 +128,25 @@ class TestProblemConstruction:
                 shape=shape, observed=F, hidden=FreqSet(shape), p=2.0, delta=1.0
             )
 
+    @pytest.mark.parametrize("p, delta", [(math.nan, 1.0), (2.0, math.nan)])
+    def test_rejects_nan_exponent_and_delta(self, p, delta):
+        shape = GridShape(8, 1)
+        F = forward(Signal.delta(shape))
+        S = FreqSet.from_indices(shape, [4])
+        with pytest.raises(ValueError):
+            RecoveryProblem(shape=shape, observed=F, hidden=S, p=p, delta=delta)
+
+    def test_threshold_is_delta_over_twice_root_c_size(self):
+        problems = [
+            random_instance(GridShape(*grid), size, seed=seed)[0]
+            for grid, size in (((8, 1), 2), ((16, 1), 3), ((4, 2), 2), ((9, 1), 1))
+            for seed in range(5)
+        ]
+        problems.append(_problem((4, 2), np.eye(1, 16, 5).ravel(), [1, 3], p=2.0,
+                                 delta=0.75)[0])
+        for problem in problems:
+            assert problem.threshold == problem.delta / (2.0 * math.sqrt(problem.c_size))
+
 
 class TestSeparation:
     def test_binary_nonconstant(self):
@@ -225,7 +245,48 @@ class TestParameterization:
             assert fm <= (fa + fb) / 2 + 1e-9
 
 
+class TestBasisDigests:
+    """reconstruction_basis's g0 and B bytes, pinned by sha256.
+
+    Each hidden set mixes self-paired members (one cosine column) with
+    (m, -m) pairs (a cosine and a sine column), or holds only the former.
+    """
+
+    @pytest.mark.parametrize("grid, hidden, digest", [
+        ((8, 1), [1, 4, 7],
+         "c347f4d4000ff5d7b8bef03d71d76efb6a033c348c74779466775a9200dc54e0"),
+        ((16, 1), [2, 5, 8, 11, 14],
+         "fa5f0fed7f7cf970bbd870f8ed0528688513a475163abacde978742d41086533"),
+        ((9, 1), [0, 2, 7],
+         "95059118b0b706816bf1f65111e20cc9c5c522defecfc811e163c4b160f147af"),
+        ((4, 2), [2, 5, 8, 15],
+         "20a97198da2a101be218daf5c0b4fd49e276c14524441715acd689cdff89b808"),
+        ((6, 2), [3, 8, 21, 34],
+         "f19a8ecae84a9e53509490f28662b8e91692f5f3aeee2d5373ba2e79940eebf2"),
+        ((2, 3), [1, 6],
+         "143d8fe376fa23395081df808fb50e9696307e3406482cb469c58d42e134e8b5"),
+    ])
+    def test_basis_bytes(self, grid, hidden, digest):
+        size = GridShape(*grid).size
+        truth = np.random.default_rng(size).integers(0, 2, size).astype(float)
+        problem, _ = _problem(grid, truth, hidden, p=2.0)
+        g0, B = reconstruction_basis(problem)
+        # the layout, too: matmuls on an F-ordered B round differently
+        assert B.flags.c_contiguous
+        h = hashlib.sha256()
+        h.update(g0.tobytes())
+        h.update(B.tobytes())
+        assert h.hexdigest() == digest
+
+
 class TestRecover:
+    def test_verdict_is_read_off_the_reported_threshold(self):
+        for seed in range(4):
+            problem, _ = random_instance(GridShape(8, 1), 2, seed=seed)
+            cert = recover(problem, alphabet=(0.0, 1.0)).certificate
+            assert cert.threshold == problem.threshold
+            assert cert.unique == (cert.norm_at_solution < cert.threshold)
+
     def test_pinned_when_hidden_coefficient_is_zero(self):
         # truth has no energy at the hidden frequency: constraints pin all
         truth_values = [1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0]  # period 4
