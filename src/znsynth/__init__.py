@@ -20,6 +20,7 @@ from .constructions import (
     indicator_signal_norm_bound,
     lambda_constant_check,
     lambda_p_search,
+    normalized_indicator_norms,
     normalized_indicator_signal,
     phi,
     random_set,
@@ -109,6 +110,7 @@ __all__ = [
     "lambda_p_search",
     "lp_norm",
     "mask_spectrum",
+    "normalized_indicator_norms",
     "normalized_indicator_signal",
     "phi",
     "random_instance",

@@ -24,6 +24,7 @@ from .constructions import (
     hayes_tail_experiment,
     lambda_constant_check,
     lambda_p_search,
+    normalized_indicator_norms,
     normalized_indicator_signal,
     phi,
     random_set,
@@ -42,7 +43,6 @@ from .fourier import Signal, Spectrum, forward, inverse
 from .inequalities import (
     INDICATOR_DUAL,
     SUPPORT_SIZE,
-    lp_norm,
     vanishing_threshold,
     verify_indicator_bound,
     verify_support_bound,
@@ -466,10 +466,8 @@ def cmd_sweep(ns) -> int:
         shape = GridShape(modulus=n, dim=dim)
         size = math.ceil(n**ns.alpha)
         S = random_set(shape, size, rngs[i])
-        f = normalized_indicator_signal(S)
         threshold = vanishing_threshold(size, shape, p)
-        sup = lp_norm(f, math.inf)
-        lpn = lp_norm(f, p)
+        sup, lpn = normalized_indicator_norms(S, p)
         bound = threshold * lpn
         return [n, dim, size, p, threshold, sup, lpn, bound, sup <= bound * (1 + 1e-9)]
 

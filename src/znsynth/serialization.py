@@ -48,10 +48,19 @@ def _encode_extended(x: float):
     return float(x)
 
 
-def _decode_extended(x) -> float:
-    if isinstance(x, str):
-        return {"inf": math.inf, "-inf": -math.inf}[x]
+def _decode_extended(x, field: str) -> float:
+    if isinstance(x, str) and x not in ("inf", "-inf"):
+        raise ValueError(f'{field} must be a number or "inf", got {x!r}')
     return float(x)
+
+
+def _indices(entries, field: str) -> list[int]:
+    """Linear indices of a document list; an entry int() would change is an error."""
+    indices = [int(m) for m in entries]
+    for m, i in zip(entries, indices):
+        if m != i:
+            raise ValueError(f"{field} entry {m!r} is not an integer index")
+    return indices
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -120,8 +129,8 @@ def set_to_doc(S: FreqSet) -> dict:
 def set_from_doc(doc: dict) -> FreqSet:
     try:
         shape = GridShape(modulus=int(doc["modulus"]), dim=int(doc["dim"]))
-        return FreqSet.from_indices(shape, (int(m) for m in doc["members"]))
-    except (TypeError, IndexError) as exc:
+        return FreqSet.from_indices(shape, _indices(doc["members"], "members"))
+    except (TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed set document: {exc}") from exc
 
 
@@ -155,18 +164,22 @@ def problem_to_doc(problem: RecoveryProblem) -> dict:
 def problem_from_doc(doc: dict) -> RecoveryProblem:
     try:
         shape = GridShape(modulus=int(doc["grid"]["N"]), dim=int(doc["grid"]["d"]))
-        hidden = FreqSet.from_indices(shape, (int(m) for m in doc["hidden"]))
+        hidden = FreqSet.from_indices(shape, _indices(doc["hidden"], "hidden"))
         observed = doc["observed"]
         if len(observed) != shape.size:
             raise ValueError(
                 f"observed has {len(observed)} entries, expected N^d = {shape.size}"
             )
-        # null entries read as zero; the problem zeroes the hidden ones anyway
+        # null marks a hidden entry, read as zero; the problem zeroes those anyway
+        unknown = set(hidden.members.tolist())
+        for i, e in enumerate(observed):
+            if e is None and i not in unknown:
+                raise ValueError(f"observed entry {i} is null but not on the hidden set")
         values = _pairs_to_values([(0.0, 0.0) if e is None else e for e in observed])
-        p, delta = _decode_extended(doc["p"]), float(doc["delta"])
+        p, delta = _decode_extended(doc["p"], "p"), float(doc["delta"])
         declared = doc.get("c_size")
         declared = None if declared is None else float(declared)
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed problem document: {exc}") from exc
     problem = RecoveryProblem(
         shape=shape,

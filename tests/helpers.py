@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from znsynth.constructions import normalized_indicator_signal
 from znsynth.fourier import FreqSet, Signal, Spectrum, forward, inverse
+from znsynth.inequalities import lp_norm
 from znsynth.lattice import GridShape, all_coords
 
 
@@ -67,3 +69,9 @@ def random_bandlimited(
     keep[S.members] = True
     F[~keep] = 0.0
     return inverse(Spectrum(shape, F))
+
+
+def complex_indicator_norms(S: FreqSet, p: float) -> tuple[float, float]:
+    """(||f||_inf, ||f||_p) of the normalized indicator signal by the complex route."""
+    f = normalized_indicator_signal(S)
+    return lp_norm(f, np.inf), lp_norm(f, p)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from znsynth import cli
 from znsynth.cli import (
     SUBCOMMANDS,
     build_parser,
@@ -18,6 +19,8 @@ from znsynth.cli import (
 from znsynth.lattice import GridShape
 from znsynth.recovery import random_instance
 from znsynth.serialization import csv_body, load_json, problem_to_doc, write_json
+
+from helpers import complex_indicator_norms
 
 
 def run(args, capsys=None):
@@ -160,6 +163,29 @@ class TestDeterminism:
         assert run(["construct", "--kind", "random", "--grid", "16x1",
                     "--size", "4", "--seed", "77", "--out", str(s2)]) == 0
         assert load_json(str(s1))["members"] == load_json(str(s2))["members"]
+
+
+class TestSweepNorms:
+    """sweep's real-transform norms against the complex signal's, cell by cell."""
+
+    @pytest.mark.parametrize("args", [
+        "--dim 2 --alpha 1 --p-mode critical --grid-range 4..32 --seed 3",
+        "--alpha 0.5 --p-mode fixed --p 1.2 --grid-range 9..72 --seed 7",
+        "--dim 3 --alpha 1.5 --p-mode critical --grid-range 3..12 --seed 1",
+    ], ids=["d2-critical", "odd-n-fixed", "d3-critical"])
+    def test_body_matches_complex_route(self, tmp_path, monkeypatch, args):
+        real, ref = tmp_path / "real.csv", tmp_path / "ref.csv"
+        assert run(["sweep", *args.split(), "--out", str(real)]) == 0
+        monkeypatch.setattr(cli, "normalized_indicator_norms", complex_indicator_norms)
+        assert run(["sweep", *args.split(), "--out", str(ref)]) == 0
+        rows = [csv_body(f.read_text()).splitlines() for f in (real, ref)]
+        assert rows[0][0] == rows[1][0] and len(rows[0]) == len(rows[1]) > 2
+        for got, want in zip(rows[0][1:], rows[1][1:]):
+            *got_cells, got_pass = got.split(",")
+            *want_cells, want_pass = want.split(",")
+            assert got_pass == want_pass
+            assert [float(c) for c in got_cells] == pytest.approx(
+                [float(c) for c in want_cells], rel=1e-12)
 
 
 class TestErrorPaths:
@@ -470,6 +496,39 @@ class TestMalformedDocuments:
         src.write_text(json.dumps({**_PROBLEM_DOC, field: value}))
         assert run(["recover", "--problem-file", str(src), "--no-oracle"]) == 2
         assert "error: " in capsys.readouterr().err
+
+    def test_null_observed_entry_off_the_hidden_set(self, tmp_path, capsys):
+        src = tmp_path / "problem.json"
+        src.write_text(json.dumps(
+            {**_PROBLEM_DOC, "observed": [None, [0, 0], None, [0, 0]]}))
+        assert run(["recover", "--problem-file", str(src), "--no-oracle"]) == 2
+        assert "observed entry 2 is null" in capsys.readouterr().err
+
+    def test_fractional_hidden_index(self, tmp_path, capsys):
+        src = tmp_path / "problem.json"
+        src.write_text(json.dumps(
+            {**_PROBLEM_DOC, "hidden": [0.7, 2.2],
+             "observed": [None, [0, 0], None, [0, 0]]}))
+        assert run(["recover", "--problem-file", str(src), "--no-oracle"]) == 2
+        assert "hidden entry 0.7 is not an integer index" in capsys.readouterr().err
+
+    def test_fractional_set_member(self, tmp_path, capsys):
+        src = tmp_path / "s.json"
+        src.write_text(json.dumps({"modulus": 8, "dim": 1, "members": [1.5, 3]}))
+        assert run(["phi-stats", "--set-file", str(src)]) == 2
+        assert "members entry 1.5 is not an integer index" in capsys.readouterr().err
+
+    def test_infinite_set_member(self, tmp_path, capsys):
+        src = tmp_path / "s.json"
+        src.write_text(json.dumps({"modulus": 8, "dim": 1, "members": [math.inf]}))
+        assert run(["phi-stats", "--set-file", str(src)]) == 2
+        assert "malformed set document" in capsys.readouterr().err
+
+    def test_string_exponent_names_the_field(self, tmp_path, capsys):
+        src = tmp_path / "problem.json"
+        src.write_text(json.dumps({**_PROBLEM_DOC, "p": "abc"}))
+        assert run(["recover", "--problem-file", str(src), "--no-oracle"]) == 2
+        assert 'p must be a number or "inf"' in capsys.readouterr().err
 
     def test_signal_file_modulus(self, tmp_path, capsys):
         src = tmp_path / "f.json"

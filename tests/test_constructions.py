@@ -13,6 +13,7 @@ from znsynth.constructions import (
     indicator_signal_norm_bound,
     lambda_constant_check,
     lambda_p_search,
+    normalized_indicator_norms,
     normalized_indicator_signal,
     phi,
     random_set,
@@ -25,6 +26,8 @@ from znsynth.fourier import FreqSet, forward, indicator_spectrum, support
 from znsynth.inequalities import dual_exponent, lp_norm, verify_indicator_bound
 from znsynth.lattice import GridShape, encode, negate_indices
 from znsynth.rng import spawn_generators
+
+from helpers import complex_indicator_norms
 
 
 class TestRandomSet:
@@ -171,6 +174,45 @@ class TestNormalizedIndicatorSignal:
         F = forward(normalized_indicator_signal(S))
         assert support(F).members.tolist() == [1, 2, 5]
         assert np.allclose(F.values[S.members], shape.size**0.5 / S.size, atol=1e-12)
+
+
+class TestNormalizedIndicatorNorms:
+    """The real-transform norms against the complex signal's lp_norm."""
+
+    @pytest.mark.parametrize("n, d", [(16, 1), (17, 1), (2, 1), (8, 2), (9, 2), (4, 3), (5, 3)])
+    def test_matches_complex_route(self, n, d):
+        shape = GridShape(n, d)
+        rng = np.random.default_rng(n * 10 + d)
+        for size in (1, 2, shape.size // 3 or 1, shape.size):
+            S = random_set(shape, size, seed=rng)
+            for p in (1, 1.2, 2, 4, 5, 30):
+                got = normalized_indicator_norms(S, p)
+                assert got == pytest.approx(complex_indicator_norms(S, p), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+    def test_rejects_bad_exponent(self, p):
+        S = FreqSet.from_indices(GridShape(8, 1), [1, 2])
+        with pytest.raises(ValueError, match="finite p >= 1"):
+            normalized_indicator_norms(S, p)
+
+    def test_rejects_empty_set(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            normalized_indicator_norms(FreqSet(GridShape(8, 1)), 2)
+
+    @pytest.mark.parametrize("shape, size, p, target", [
+        (GridShape(64, 1), 8, 5.0, 1.1),
+        (GridShape(9, 2), 6, 4.0, 1.43),
+        (GridShape(16, 2), 10, 1.2, 28.8),
+    ])
+    def test_small_norm_sampler_matches_complex_statistic(self, monkeypatch, shape, size, p, target):
+        found = [rejection_sample_small_norm(shape, size, p, target, max_draws=100, seed=s)
+                 for s in range(4)]
+        monkeypatch.setattr(constructions, "normalized_indicator_norms", complex_indicator_norms)
+        for s, real in enumerate(found):
+            ref = rejection_sample_small_norm(shape, size, p, target, max_draws=100, seed=s)
+            assert real.set.members.tolist() == ref.set.members.tolist()
+            assert real.draws == ref.draws
+            assert real.statistic == pytest.approx(ref.statistic, rel=1e-12)
 
 
 class TestIndicatorSignalNormBound:
