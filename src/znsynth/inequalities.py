@@ -44,7 +44,7 @@ def dual_exponent(p: float) -> float:
 
 def lp_norm(f: Signal | Spectrum | np.ndarray, p: float) -> float:
     """Counting-measure norm (sum_x |f(x)|^p)^(1/p); max |f(x)| for p = inf."""
-    if p != math.inf and p < 1:
+    if not p >= 1:  # NaN fails too
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     values = f.values if isinstance(f, (Signal, Spectrum)) else np.asarray(f)
     mags = np.abs(values)
@@ -122,7 +122,7 @@ def verify_indicator_bound(f: Signal, S: FreqSet, p: float) -> InequalityReport:
 
     Requires supp(f_hat) inside S; p may be any element of [1, inf].
     """
-    if p != math.inf and p < 1:
+    if not p >= 1:  # NaN fails too
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     _check_support(f, S)
     shape = f.shape

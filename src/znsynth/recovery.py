@@ -11,11 +11,12 @@ coefficients.
 The minimizer is computed by first-order descent over the free hidden
 coefficients; real-valuedness is enforced structurally by optimizing one
 (re, im) pair per negation orbit of the hidden set.  Each Armijo trial
-step evaluates the objective alone, and the gradient is formed once per
-accepted step.  When a value alphabet is declared, the alphabet-valued
-feasible signals are enumerated exactly through the same parameterization
-and the minimal-norm separated one is returned, with nearest-value
-rounding of the descent output as the out-of-budget fallback.
+step evaluates the objective alone, into buffers allocated once per call,
+and the gradient is formed once per accepted step.  When a value alphabet
+is declared, the alphabet-valued feasible signals are enumerated exactly
+through the same parameterization and the minimal-norm separated one is
+returned, with nearest-value rounding of the descent output as the
+out-of-budget fallback.
 
 The exhaustive oracle, :func:`brute_force_recover`, does not use that
 parameterization.  It splits each alphabet signal into head and tail
@@ -80,7 +81,7 @@ def uniqueness_certificate(norm: float, delta: float, c_size: float) -> bool:
     only; below p = 2 a True here proves nothing, and two feasible
     separated candidates can both pass it.
     """
-    if norm < 0 or delta < 0 or c_size < 0:
+    if not (norm >= 0 and delta >= 0 and c_size >= 0):  # NaN fails too
         raise ValueError("certificate inputs must be non-negative")
     return norm < delta / (2.0 * math.sqrt(c_size))
 
@@ -260,6 +261,8 @@ def recover(
     p > 1 the objective is differentiable and plain descent with Armijo
     backtracking is used: each trial step evaluates only sum_x |g(x)|^p,
     and the gradient is formed once per iteration, at the accepted step.
+    The descent stops when the gradient norm is at most tol * max(1, sum_x
+    |g(x)|^p), so tol must be finite and >= 0.
     p = 1 falls back to subgradient steps with a diminishing schedule and
     no convergence guarantee.
 
@@ -275,6 +278,8 @@ def recover(
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got tol={tol}")
     if problem.hidden.size == problem.shape.size:
         raise RecoveryError(
             "every frequency is hidden; the constraints carry no information"
@@ -287,6 +292,9 @@ def recover(
     converged = False
     iters = 0
     if p > 1:
+        # every trial step writes into these; v and v_new swap on acceptance
+        v_new, tg = np.empty_like(v), np.empty_like(v)
+        g, a, ap, w = (np.empty_like(g0) for _ in range(4))
         step = 1.0
         for iters in range(1, max_iters + 1):
             gn = math.sqrt(grad.dot(grad))  # np.linalg.norm, bit for bit
@@ -295,19 +303,25 @@ def recover(
                 break
             t = step
             for _ in range(60):
-                # the objective alone, computed as _objective_and_gradient does
-                v_new = v - t * grad
-                g = B @ v_new
-                g += g0
-                a = np.abs(g)
-                obj_new = float((a**p).sum())
+                # the objective alone, in the operations and order of
+                # _objective_and_gradient; np.power gives the bits of `**`
+                np.multiply(grad, t, tg)
+                np.subtract(v, tg, v_new)
+                np.dot(B, v_new, g)
+                np.add(g, g0, g)
+                np.abs(g, a)
+                np.power(a, p, ap)
+                obj_new = float(np.add.reduce(ap))
                 if obj_new <= obj - 1e-4 * t * gn * gn:
                     break
                 t *= 0.5
             else:
                 break  # step collapsed below float resolution
-            v, obj = v_new, obj_new
-            grad = B.T @ (p * np.sign(g) * a ** (p - 1.0))
+            v, v_new, obj = v_new, v, obj_new
+            np.sign(g, w)
+            np.multiply(p, w, w)
+            np.multiply(w, np.power(a, p - 1.0, ap), w)
+            grad = np.dot(B.T, w)
             step = min(2.0 * t, 1e6)
     else:
         best_v, best_obj = v.copy(), obj

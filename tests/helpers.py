@@ -8,6 +8,8 @@ package's fast path.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from znsynth.constructions import normalized_indicator_signal
@@ -75,3 +77,45 @@ def complex_indicator_norms(S: FreqSet, p: float) -> tuple[float, float]:
     """(||f||_inf, ||f||_p) of the normalized indicator signal by the complex route."""
     f = normalized_indicator_signal(S)
     return lp_norm(f, np.inf), lp_norm(f, p)
+
+
+def reference_descent(g0, B, p, tol, max_iters):
+    """The Armijo descent of `recovery.recover` for p > 1, as a fresh array per step.
+
+    This is the loop as it stood before its trial steps wrote into buffers;
+    `recover` must reproduce it bit for bit.  Returns (g0 + B @ v,
+    iterations, converged) for the final parameter vector v.
+    """
+
+    def objective_and_gradient(v):
+        g = g0 + B @ v
+        a = np.abs(g)
+        return float(np.sum(a**p)), B.T @ (p * np.sign(g) * a ** (p - 1.0))
+
+    v = np.zeros(B.shape[1])
+    obj, grad = objective_and_gradient(v)
+    converged = False
+    iters = 0
+    step = 1.0
+    for iters in range(1, max_iters + 1):
+        gn = math.sqrt(grad.dot(grad))  # np.linalg.norm, bit for bit
+        if gn <= tol * max(1.0, obj):
+            converged = True
+            break
+        t = step
+        for _ in range(60):
+            # the objective alone, computed as _objective_and_gradient does
+            v_new = v - t * grad
+            g = B @ v_new
+            g += g0
+            a = np.abs(g)
+            obj_new = float((a**p).sum())
+            if obj_new <= obj - 1e-4 * t * gn * gn:
+                break
+            t *= 0.5
+        else:
+            break  # step collapsed below float resolution
+        v, obj = v_new, obj_new
+        grad = B.T @ (p * np.sign(g) * a ** (p - 1.0))
+        step = min(2.0 * t, 1e6)
+    return g0 + B @ v, iters, converged

@@ -259,6 +259,13 @@ class TestErrorPaths:
         assert run(["recover", "--grid", "8x1", "--no-oracle"] + flags) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_meaningless_tolerance_is_usage_error(self, capsys, tol):
+        argv = ["recover", "--grid", "8x1", "--hidden-size", "2", "--seed", "1",
+                "--max-iters", "50", "--no-oracle", "--tol", tol]
+        assert run(argv) == 2
+        assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("alpha", ["0", "-1"])
     def test_nonpositive_alpha_is_usage_error(self, capsys, alpha):
         assert run(["sweep", "--alpha", alpha, "--grid-range", "8..16"]) == 2

@@ -60,6 +60,10 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(Signal.delta(GridShape(4, 1)), 0.9)
 
+    def test_rejects_nan_exponent(self):
+        with pytest.raises(ValueError, match="exponent must satisfy p >= 1, got nan"):
+            lp_norm(np.ones(4), math.nan)
+
     def test_zero_signal(self):
         f = Signal(GridShape(4, 1), np.zeros(4))
         assert lp_norm(f, 2) == 0.0
@@ -173,6 +177,11 @@ class TestIndicatorBound:
         f = indicator_spectrum(H)
         report = verify_indicator_bound(f, H, p)
         assert report.slack_ratio == pytest.approx(1.0, rel=1e-9)
+
+    def test_rejects_nan_exponent(self):
+        H = _subspace_h(GridShape(4, 2))
+        with pytest.raises(ValueError, match="exponent must satisfy p >= 1, got nan"):
+            verify_indicator_bound(indicator_spectrum(H), H, math.nan)
 
     def test_flat_spectrum_point_set(self):
         # f with spectrum = delta at 0: both sides equal N^(-d/2)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import math
 
@@ -25,6 +26,8 @@ from znsynth.recovery import (
     symmetric_hidden_set,
     uniqueness_certificate,
 )
+
+from helpers import reference_descent
 
 
 def _problem(shape, truth_values, hidden_indices, p, delta=1.0):
@@ -181,6 +184,13 @@ class TestCertificate:
         with pytest.raises(ValueError):
             uniqueness_certificate(-1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1.0, 1.0), (0.1, math.nan, 1.0), (0.1, 1.0, math.nan),
+    ])
+    def test_rejects_nan(self, args):
+        with pytest.raises(ValueError, match="non-negative"):
+            uniqueness_certificate(*args)
+
 
 class TestParameterization:
     def test_every_parameter_vector_is_feasible(self):
@@ -314,6 +324,12 @@ class TestRecover:
         )
         with pytest.raises(RecoveryError, match="hidden"):
             recover(problem)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+    def test_rejects_meaningless_tolerance(self, tol):
+        problem, _ = random_instance(GridShape(8, 1), 2, seed=1)
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            recover(problem, tol=tol, max_iters=50)
 
     def test_seeded_instances_recover_exactly(self):
         for seed in range(12):
@@ -725,6 +741,50 @@ class TestGoldenDescent:
         assert result.converged is converged
         values = result.signal.values.tobytes()
         assert hashlib.sha256(values).hexdigest()[:32] == digest
+
+
+# every exponent random_instance may pick, 1.5 (a gradient exponent of 0.5) and 2.0 included
+DEFAULT_P_GRID = inspect.signature(random_instance).parameters["p_grid"].default
+
+
+class TestDescentReference:
+    """recover's descent is the allocating loop of helpers.reference_descent, bit for bit."""
+
+    @pytest.mark.parametrize("p", DEFAULT_P_GRID)
+    @pytest.mark.parametrize("grid, hidden_size, seed", [
+        ((8, 1), 3, 2), ((16, 1), 4, 2), ((9, 1), 3, 1), ((4, 2), 3, 3),
+    ])
+    def test_matches_the_reference_loop(self, grid, hidden_size, seed, p):
+        drawn, _ = random_instance(GridShape(*grid), hidden_size, seed=seed)
+        problem = RecoveryProblem(drawn.shape, drawn.observed, drawn.hidden, p, drawn.delta)
+        g0, B = problem.basis
+        before = g0.tobytes(), B.tobytes()
+        for max_iters in (1, 7, 1000):
+            values, iterations, converged = reference_descent(g0, B, p, 1e-8, max_iters)
+            expected = Signal(problem.shape, values)
+            for _ in range(2):  # a second call on the same problem agrees
+                result = recover(problem, 1e-8, max_iters)
+                assert result.objective.hex() == lp_norm(expected, p).hex()
+                assert result.iterations == iterations
+                assert result.converged is converged
+                assert result.signal.values.tobytes() == expected.values.tobytes()
+        assert (g0.tobytes(), B.tobytes()) == before
+
+    @pytest.mark.parametrize("size", [1, 7, 16, 33, 1000])
+    def test_power_into_a_buffer_matches_the_operator(self, size):
+        # `**` computes some scalar exponents by another ufunc (0.5 by sqrt);
+        # np.power writing into a buffer must give the same bits for each
+        # exponent of the descent's objective and gradient
+        rng = np.random.default_rng(size)
+        a = np.abs(np.concatenate([
+            [0.0, 5e-324, 2.2e-308, 1.0, 1e100], rng.standard_normal(size),
+            rng.standard_normal(size) * 1e-6, rng.uniform(0, 4, size),
+        ]))
+        out = np.empty_like(a)
+        for p in DEFAULT_P_GRID:
+            for e in (p, p - 1.0):
+                expected = a**e
+                assert np.power(a, e, out).tobytes() == expected.tobytes(), e
 
 
 def _reference_oracle(problem, alphabet):
