@@ -122,6 +122,8 @@ def hayes_tail_experiment(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if math.isnan(a):
+        raise ValueError("tail threshold a must be a number, got nan")
     _check_size(shape, size)
     rngs = spawn_generators(seed, trials)
     block = max(1, TAIL_BLOCK_POINTS // shape.size)
@@ -340,9 +342,11 @@ def empirical_lambda_constant(S: FreqSet, p: float, trials: int, seed) -> float:
     """
     if S.size == 0:
         raise ValueError("empirical constant requires a non-empty set")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     rng = as_generator(seed)
     probes = np.vstack([np.ones((1, S.size)), rng.standard_normal((trials, S.size))])
-    return float(_probe_max_ratio(S.shape, p, S.members[None], probes)[0])
+    return float(_probe_ratios(S.shape, p, S.members[None], probes).max())
 
 
 # Grid points per batched inverse FFT of the probe ratios (4 MB of complex
@@ -351,36 +355,63 @@ def empirical_lambda_constant(S: FreqSet, p: float, trials: int, seed) -> float:
 # per swap position few.
 PROBE_BLOCK_POINTS = 1 << 18
 
+# Probes every swap candidate is scored on first: those with the largest
+# ratios on the current members.  Only candidates still below the bar
+# after them are scored on the rest.
+LEAD_PROBES = 4
 
-def _probe_max_ratio(
-    shape: GridShape, p: float, members: np.ndarray, probes: np.ndarray
+
+def _probe_ratios(
+    shape: GridShape, p: float, members: np.ndarray, probes: np.ndarray,
+    rows=slice(None),
 ) -> np.ndarray:
-    """Per row of members, max over probe rows of the normalized ratio above.
+    """(sets, probe rows) normalized ratios of members' rows on probes[rows].
 
     members is (sets, |S|) with each row sorted ascending; probe column j
     is the coefficient of a row's j-th smallest member.
     """
-    rows, width = probes.shape
-    step = max(1, PROBE_BLOCK_POINTS // (rows * shape.size))
-    denom = np.linalg.norm(probes, axis=1)
-    out = np.empty(members.shape[0])
+    denom = np.linalg.norm(probes, axis=1)[rows]
+    probes = probes[rows]
+    count, width = probes.shape
+    step = max(1, PROBE_BLOCK_POINTS // (count * shape.size))
+    out = np.empty((members.shape[0], count))
     for lo in range(0, members.shape[0], step):
         block = members[lo:lo + step]
         sets = block.shape[0]
-        full = np.zeros((sets, rows, shape.size), dtype=np.complex128)
+        full = np.zeros((sets, count, shape.size), dtype=np.complex128)
         np.put_along_axis(
-            full, np.broadcast_to(block[:, None, :], (sets, rows, width)),
+            full, np.broadcast_to(block[:, None, :], (sets, count, width)),
             probes[None], axis=2,
         )
         # in place (out= needs numpy >= 2.0): a fresh array per step costs
         # more than the FFT here
-        grids = full.reshape((sets * rows,) + shape.axes)
+        grids = full.reshape((sets * count,) + shape.axes)
         sums = np.fft.ifftn(grids, axes=tuple(range(1, shape.dim + 1)), out=grids)
         sums *= shape.size
-        mags = np.abs(sums).reshape(sets, rows, -1)
+        mags = np.abs(sums).reshape(sets, count, -1)
         norms = np.sum(np.power(mags, p, out=mags), axis=2) ** (1.0 / p)
-        ratios = shape.size ** (-1.0 / p) * norms / denom
-        out[lo:lo + sets] = ratios.max(axis=1)
+        out[lo:lo + sets] = shape.size ** (-1.0 / p) * norms / denom
+    return out
+
+
+def _probe_max_ratio(
+    shape: GridShape, p: float, members: np.ndarray, probes: np.ndarray,
+    lead: np.ndarray, stop: float,
+) -> np.ndarray:
+    """Per row of members, max over probe rows of the ratio, cut short at stop.
+
+    Every row is scored on the probes lead indexes first, and only rows
+    still below stop on the rest: a row reads its exact max when that is
+    below stop, and otherwise a partial max that is at least stop.  Each
+    ratio is computed on its own row, so the bits do not depend on which
+    rows share a batch.
+    """
+    out = _probe_ratios(shape, p, members, probes, lead).max(axis=1)
+    live = np.flatnonzero(out < stop)
+    rest = np.delete(np.arange(probes.shape[0]), lead)
+    if live.size and rest.size:
+        tail = _probe_ratios(shape, p, members[live], probes, rest).max(axis=1)
+        out[live] = np.maximum(out[live], tail)
     return out
 
 
@@ -400,14 +431,19 @@ def lambda_p_search(
     from its own spawned stream, then hill-descends by single-element
     swaps (best replacement per position, at most `max_swaps` sampled
     candidates per position, all scored in one batched call) until no
-    swap improves.  The best restart wins; ties break toward the lower
-    restart index, so the output is a function of (seed, parameters) only.
+    swap improves.  A candidate stops being scored once one probe ratio
+    shows it cannot win; the LEAD_PROBES probes with the largest ratios
+    on the current members are tried first.  The best restart wins; ties
+    break toward the lower restart index, so the output is a function of
+    (seed, parameters) only.
     """
-    if p == math.inf or p <= 2:
+    if not 2 < p < math.inf:
         raise ValueError(f"requires finite p > 2, got {p}")
     _check_size(shape, size)
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     if max_swaps < 0:
         raise ValueError("max_swaps must be >= 0")
     rngs = spawn_generators(seed, budget)
@@ -419,7 +455,12 @@ def lambda_p_search(
             [np.ones((1, size)), rng.standard_normal((trials, size))]
         )
 
-        best = float(_probe_max_ratio(shape, p, members[None], probes)[0])
+        def leading(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            ratios = _probe_ratios(shape, p, members[None], probes)[0]
+            return ratios, np.argsort(ratios)[-LEAD_PROBES:]
+
+        ratios, lead = leading(members)
+        best = float(ratios.max())
         # no candidates when the grid is full or max_swaps is 0
         improved = min(max_swaps, shape.size - size) > 0
         while improved:
@@ -433,14 +474,21 @@ def lambda_p_search(
                 trial_members = np.repeat(members[None], outside.size, axis=0)
                 trial_members[:, pos] = outside
                 trial_members.sort(axis=1)
-                values = _probe_max_ratio(shape, p, trial_members, probes)
+                # a swap must beat best by 1e-12; a candidate one probe
+                # puts at or above that bar can never be taken
+                stop = best - 1e-12
+                values = _probe_max_ratio(
+                    shape, p, trial_members, probes, lead=lead, stop=stop
+                )
                 # argmin takes the first of equal values, as an in-order
-                # scan accepting only a strict improvement would
+                # scan accepting only a strict improvement would; rows cut
+                # short read at least stop, so they neither win nor tie
                 k = int(np.argmin(values))
-                if values[k] < best - 1e-12:
+                if values[k] < stop:
                     best = float(values[k])
                     members[pos] = outside[k]
                     members = np.sort(members)
+                    lead = leading(members)[1]
                     improved = True
         return best, members
 
@@ -462,7 +510,7 @@ def lambda_constant_check(S: FreqSet, p: float, C: float) -> bool:
     to equal coefficients; together with the dual-norm bound it gives
     ||1S_hat||_p * ||1S_hat||_p' <= C * |S|.
     """
-    if p == math.inf or p <= 2:
+    if not 2 < p < math.inf:
         raise ValueError(f"requires finite p > 2, got {p}")
     shape = S.shape
     measured = lp_norm(indicator_spectrum(S), p)

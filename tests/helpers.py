@@ -12,10 +12,11 @@ import math
 
 import numpy as np
 
-from znsynth.constructions import normalized_indicator_signal
+from znsynth.constructions import PROBE_BLOCK_POINTS, normalized_indicator_signal
 from znsynth.fourier import FreqSet, Signal, Spectrum, forward, inverse
 from znsynth.inequalities import lp_norm
 from znsynth.lattice import GridShape, all_coords
+from znsynth.rng import spawn_generators
 
 
 def character_matrix(shape: GridShape, sign: int = -1) -> np.ndarray:
@@ -119,3 +120,74 @@ def reference_descent(g0, B, p, tol, max_iters):
         grad = B.T @ (p * np.sign(g) * a ** (p - 1.0))
         step = min(2.0 * t, 1e6)
     return g0 + B @ v, iters, converged
+
+
+def reference_probe_max_ratio(shape, p, members, probes):
+    """Per row of members, the full max over every probe of the normalized ratio.
+
+    This is `constructions._probe_max_ratio` as it stood before candidates
+    were scored on lead probes first.
+    """
+    rows, width = probes.shape
+    step = max(1, PROBE_BLOCK_POINTS // (rows * shape.size))
+    denom = np.linalg.norm(probes, axis=1)
+    out = np.empty(members.shape[0])
+    for lo in range(0, members.shape[0], step):
+        block = members[lo:lo + step]
+        sets = block.shape[0]
+        full = np.zeros((sets, rows, shape.size), dtype=np.complex128)
+        np.put_along_axis(
+            full, np.broadcast_to(block[:, None, :], (sets, rows, width)),
+            probes[None], axis=2,
+        )
+        grids = full.reshape((sets * rows,) + shape.axes)
+        sums = np.fft.ifftn(grids, axes=tuple(range(1, shape.dim + 1)), out=grids)
+        sums *= shape.size
+        mags = np.abs(sums).reshape(sets, rows, -1)
+        norms = np.sum(np.power(mags, p, out=mags), axis=2) ** (1.0 / p)
+        ratios = shape.size ** (-1.0 / p) * norms / denom
+        out[lo:lo + sets] = ratios.max(axis=1)
+    return out
+
+
+def reference_lambda_search(shape, size, p, budget, seed, trials=64, max_swaps=64):
+    """The swap search of `constructions.lambda_p_search`, every candidate fully scored.
+
+    This is the loop as it stood before candidates were cut short;
+    `lambda_p_search` must reproduce it bit for bit.  Returns (members,
+    empirical constant) of the best restart.
+    """
+    rngs = spawn_generators(seed, budget)
+
+    def one_restart(r):
+        rng = rngs[r]
+        members = np.sort(rng.choice(shape.size, size=size, replace=False))
+        probes = np.vstack(
+            [np.ones((1, size)), rng.standard_normal((trials, size))]
+        )
+
+        best = float(reference_probe_max_ratio(shape, p, members[None], probes)[0])
+        improved = min(max_swaps, shape.size - size) > 0
+        while improved:
+            improved = False
+            for pos in range(size):
+                outside = np.setdiff1d(np.arange(shape.size), members)
+                if outside.size > max_swaps:
+                    outside = np.sort(
+                        rng.choice(outside, size=max_swaps, replace=False)
+                    )
+                trial_members = np.repeat(members[None], outside.size, axis=0)
+                trial_members[:, pos] = outside
+                trial_members.sort(axis=1)
+                values = reference_probe_max_ratio(shape, p, trial_members, probes)
+                k = int(np.argmin(values))
+                if values[k] < best - 1e-12:
+                    best = float(values[k])
+                    members[pos] = outside[k]
+                    members = np.sort(members)
+                    improved = True
+        return best, members
+
+    constant, members = min((one_restart(r) for r in range(budget)),
+                            key=lambda t: t[0])
+    return members.tolist(), constant

@@ -285,6 +285,11 @@ class TestErrorPaths:
                     "--tail-a", "8", "--trials", "0"]) == 2
         assert "trials must be >= 1" in capsys.readouterr().err
 
+    def test_negative_lambda_trials_is_usage_error(self, capsys):
+        assert run(["lambda-search", "--grid", "16x1", "--size", "4", "--p", "4",
+                    "--trials", "-1"]) == 2
+        assert "trials must be >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", [["a", 0], None])
     def test_malformed_values_entry_is_usage_error(self, tmp_path, bad):
         doc = {"modulus": 4, "dim": 1, "domain": "space",
@@ -451,6 +456,13 @@ class TestNanInputs:
         assert _exit_code(["lambda-search", "--grid", "16x1", "--size", "4",
                            "--p", "nan"]) == 2
         assert "NaN" not in capsys.readouterr().out
+
+    def test_phi_stats_tail(self, capsys):
+        assert run(["phi-stats", "--grid", "64x1", "--size", "16", "--trials",
+                    "20", "--tail-a", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "true" not in captured.out
+        assert "nan" in captured.err
 
     def test_construct_small_norm(self, tmp_path):
         out = tmp_path / "s.json"

@@ -27,7 +27,11 @@ from znsynth.inequalities import dual_exponent, lp_norm, verify_indicator_bound
 from znsynth.lattice import GridShape, encode, negate_indices
 from znsynth.rng import spawn_generators
 
-from helpers import complex_indicator_norms
+from helpers import (
+    complex_indicator_norms,
+    reference_lambda_search,
+    reference_probe_max_ratio,
+)
 
 
 class TestRandomSet:
@@ -146,6 +150,11 @@ class TestHayesTail:
     ])
     def test_golden_empirical(self, args, workers, expected):
         assert hayes_tail_experiment(*args, workers=workers).empirical == expected
+
+    def test_nan_threshold_rejected(self):
+        # every comparison with NaN is false, so no trial would count as a hit
+        with pytest.raises(ValueError, match="nan"):
+            hayes_tail_experiment(GridShape(64, 1), 16, a=math.nan, trials=20, seed=0)
 
     def test_worker_count_does_not_change_result(self):
         kwargs = dict(shape=GridShape(32, 1), size=8, a=5.0, trials=64, seed=11)
@@ -337,6 +346,24 @@ class TestLambdaMachinery:
         with pytest.raises(ValueError):
             lambda_p_search(GridShape(16, 1), 4, p=2.0, budget=1, seed=0)
 
+    def test_search_rejects_nan_p(self):
+        with pytest.raises(ValueError, match="p > 2"):
+            lambda_p_search(GridShape(16, 1), 4, p=math.nan, budget=1, seed=0)
+
+    def test_search_rejects_negative_trials(self):
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            lambda_p_search(GridShape(16, 1), 4, p=4.0, budget=1, seed=0, trials=-1)
+
+    def test_constant_rejects_negative_trials(self):
+        S = FreqSet.from_indices(GridShape(16, 1), [1, 5])
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            empirical_lambda_constant(S, 4.0, trials=-1, seed=0)
+
+    def test_indicator_check_rejects_nan_p(self):
+        S = FreqSet.from_indices(GridShape(8, 1), [0])
+        with pytest.raises(ValueError, match="p > 2"):
+            lambda_constant_check(S, math.nan, 1.0)
+
     def test_search_beats_random_baseline(self):
         shape = GridShape(32, 1)
         size, p = 6, 4.0
@@ -423,3 +450,51 @@ class TestLambdaMachinery:
         C = cand.empirical_constant * 1.01
         product = lp_norm(g, 4.0) * lp_norm(g, dual_exponent(4.0))
         assert product <= C * cand.set.size * (1 + 1e-9)
+
+
+class TestSearchReference:
+    """The pruned swap search against the loop that scores every candidate fully."""
+
+    # 128x1 has more outside points than max_swaps, so it takes the
+    # sampled-candidate path
+    @pytest.mark.parametrize("n, d", [(64, 1), (32, 1), (128, 1), (8, 2), (16, 2),
+                                      (4, 3)])
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+    def test_matches_full_scoring(self, n, d, p):
+        shape = GridShape(n, d)
+        kwargs = dict(shape=shape, size=6, p=p, budget=2, seed=n * d + int(4 * p),
+                      trials=16)
+        members, constant = reference_lambda_search(**kwargs)
+        for workers in (1, 2):
+            cand = lambda_p_search(**kwargs, workers=workers)
+            assert cand.set.members.tolist() == members
+            assert cand.empirical_constant == constant
+
+    @pytest.mark.parametrize("trials", [0, 2, 64])
+    def test_matches_full_scoring_at_default_size(self, trials):
+        # fewer probes than LEAD_PROBES leave none for the second stage
+        kwargs = dict(shape=GridShape(64, 1), size=8, p=4.0, budget=2, seed=trials,
+                      trials=trials)
+        members, constant = reference_lambda_search(**kwargs)
+        cand = lambda_p_search(**kwargs)
+        assert cand.set.members.tolist() == members
+        assert cand.empirical_constant == constant
+
+    @pytest.mark.parametrize("n, d", [(64, 1), (8, 2), (4, 3)])
+    def test_probe_max_ratio_stop_contract(self, n, d):
+        shape = GridShape(n, d)
+        rng = np.random.default_rng(n + d)
+        members = np.sort(np.stack([rng.choice(shape.size, 7, replace=False)
+                                    for _ in range(40)]), axis=1)
+        probes = np.vstack([np.ones((1, 7)), rng.standard_normal((24, 7))])
+        lead = rng.choice(25, constructions.LEAD_PROBES, replace=False)
+        full = reference_probe_max_ratio(shape, 4.0, members, probes)
+        stop = float(np.median(full))
+        cut = constructions._probe_max_ratio(shape, 4.0, members, probes, lead, stop)
+        below = full < stop
+        assert below.any() and not below.all()
+        assert cut[below].tolist() == full[below].tolist()
+        assert (cut[~below] >= stop).all()
+        unbounded = constructions._probe_max_ratio(shape, 4.0, members, probes, lead,
+                                                   math.inf)
+        assert unbounded.tolist() == full.tolist()
