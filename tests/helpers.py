@@ -12,7 +12,12 @@ import math
 
 import numpy as np
 
-from znsynth.constructions import PROBE_BLOCK_POINTS, normalized_indicator_signal
+from znsynth.constructions import (
+    PROBE_BLOCK_POINTS,
+    TAIL_BLOCK_POINTS,
+    normalized_indicator_signal,
+    phi,
+)
 from znsynth.fourier import FreqSet, Signal, Spectrum, forward, inverse
 from znsynth.inequalities import lp_norm
 from znsynth.lattice import GridShape, all_coords
@@ -191,3 +196,23 @@ def reference_lambda_search(shape, size, p, budget, seed, trials=64, max_swaps=6
     constant, members = min((one_restart(r) for r in range(budget)),
                             key=lambda t: t[0])
     return members.tolist(), constant
+
+
+def reference_tail_hits(shape, size, a, trials, seed):
+    """The trials of `constructions.hayes_tail_experiment`, one at a time.
+
+    Each block's stream and keys are drawn as the library draws them; a
+    trial's set is then its size smallest keys by a full sort, scored by
+    `phi` (the complex fftn).  Returns (trials with phi >= a, the smallest
+    distance from any trial's phi to a).
+    """
+    block = max(1, TAIL_BLOCK_POINTS // shape.size)
+    rngs = spawn_generators(seed, -(-trials // block))
+    hits, gap = 0, math.inf
+    for b, rng in enumerate(rngs):
+        keys = rng.random((min(block, trials - b * block), shape.size))
+        for row in keys:
+            peak = phi(FreqSet(shape, np.argsort(row)[:size])).phi
+            hits += peak >= a
+            gap = min(gap, abs(peak - a))
+    return hits, gap

@@ -153,6 +153,17 @@ class TestDeterminism:
         assert run(args + [str(b), "--workers", "5"]) == 0
         assert csv_body(a.read_text()) == csv_body(b.read_text())
 
+    def test_tail_bodies_identical_across_workers_and_blocks(self, tmp_path):
+        # 300 trials on 32x2 are five tail blocks, the last one partial
+        args = ["phi-stats", "--grid", "32x2", "--size", "16", "--tail-a", "9.5",
+                "--trials", "300", "--seed", "37", "--out"]
+        bodies = set()
+        for i, workers in enumerate(["1", "2", "3", "3"]):
+            out = tmp_path / f"{i}.csv"
+            assert run(args + [str(out), "--workers", workers]) == 0
+            bodies.add(csv_body(out.read_text()))
+        assert len(bodies) == 1
+
     def test_seed_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ZNSYNTH_SEED", "77")
         s1 = tmp_path / "s1.json"
@@ -284,6 +295,14 @@ class TestErrorPaths:
         assert run(["phi-stats", "--grid", "64x1", "--size", "16",
                     "--tail-a", "8", "--trials", "0"]) == 2
         assert "trials must be >= 1" in capsys.readouterr().err
+
+    def test_negative_tail_threshold_is_usage_error(self, capsys):
+        # the tail bound is a statement for a >= 0; -40 is not a failed check
+        assert run(["phi-stats", "--grid", "64x1", "--size", "16",
+                    "--trials", "20", "--tail-a", "-40"]) == 2
+        assert "tail threshold a must be >= 0" in capsys.readouterr().err
+        assert run(["phi-stats", "--grid", "64x1", "--size", "16",
+                    "--trials", "20", "--tail-a", "inf"]) == 0
 
     def test_negative_lambda_trials_is_usage_error(self, capsys):
         assert run(["lambda-search", "--grid", "16x1", "--size", "4", "--p", "4",

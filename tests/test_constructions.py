@@ -31,6 +31,7 @@ from helpers import (
     complex_indicator_norms,
     reference_lambda_search,
     reference_probe_max_ratio,
+    reference_tail_hits,
 )
 
 
@@ -141,12 +142,14 @@ class TestHayesTail:
         assert report.passed
         assert 0.0 <= report.empirical <= 1.0
 
-    # Pinned from the one-FFT-per-trial implementation; the batched blocks
-    # must reproduce it exactly.  The 64x1 case ends on a partial block.
+    # Pinned from the layout of one stream per block of trials
+    # (TAIL_BLOCK_POINTS), each set the smallest keys of a uniform draw;
+    # the 64x1 case ends on a partial block, and the 32x2 case spans
+    # five blocks.
     @pytest.mark.parametrize("args, workers, expected", [
-        ((GridShape(32, 2), 16, 12.0, 300, 3), 1, 0.023333333333333334),
-        ((GridShape(64, 1), 16, 16**0.75, 257, 5), 2, 0.16342412451361868),
-        ((GridShape(4, 3), 5, 4.0, 97, 2), 3, 0.7628865979381443),
+        ((GridShape(32, 2), 16, 12.0, 300, 3), 1, 0.02666666666666667),
+        ((GridShape(64, 1), 16, 16**0.75, 257, 5), 2, 0.19844357976653695),
+        ((GridShape(4, 3), 5, 4.0, 97, 2), 3, 0.865979381443299),
     ])
     def test_golden_empirical(self, args, workers, expected):
         assert hayes_tail_experiment(*args, workers=workers).empirical == expected
@@ -156,11 +159,63 @@ class TestHayesTail:
         with pytest.raises(ValueError, match="nan"):
             hayes_tail_experiment(GridShape(64, 1), 16, a=math.nan, trials=20, seed=0)
 
+    @pytest.mark.parametrize("a", [-40.0, -1e-300, -math.inf])
+    def test_negative_threshold_rejected(self, a):
+        # the bound reads a^2, while phi >= 0 > a holds for every set
+        with pytest.raises(ValueError, match="must be >= 0"):
+            hayes_tail_experiment(GridShape(64, 1), 16, a=a, trials=20, seed=0)
+
     def test_worker_count_does_not_change_result(self):
         kwargs = dict(shape=GridShape(32, 1), size=8, a=5.0, trials=64, seed=11)
         a = hayes_tail_experiment(**kwargs, workers=1)
         b = hayes_tail_experiment(**kwargs, workers=4)
         assert a.empirical == b.empirical
+
+    def test_worker_count_does_not_change_result_across_blocks(self):
+        # 300 trials on 32x2 are four blocks of 64 and a partial one of 44
+        kwargs = dict(shape=GridShape(32, 2), size=16, a=9.5, trials=300, seed=37)
+        assert 300 // (constructions.TAIL_BLOCK_POINTS // 1024) == 4
+        results = {hayes_tail_experiment(**kwargs, workers=w).empirical
+                   for w in (1, 2, 3)}
+        assert len(results) == 1
+        assert 0.0 < results.pop() < 1.0
+
+
+class TestTailReference:
+    # thresholds no peak lies within 1e-9 of, so the rfftn and fftn
+    # roundings cannot split a hit; 64x1 and 32x2 span several blocks,
+    # and every case ends on a partial one
+    @pytest.mark.parametrize("shape, size, a, trials, seed, workers", [
+        (GridShape(64, 1), 16, 7.5, 1500, 31, 2),
+        (GridShape(32, 2), 16, 9.5, 150, 32, 3),
+        (GridShape(4, 3), 5, 4.0, 300, 33, 1),
+        (GridShape(5, 2), 7, 4.0, 300, 34, 2),
+        (GridShape(8, 2), 1, 0.5, 100, 35, 1),
+        (GridShape(6, 2), 36, 0.5, 50, 36, 1),
+    ])
+    def test_hits_match_per_trial_loop(self, shape, size, a, trials, seed, workers):
+        hits, gap = reference_tail_hits(shape, size, a, trials, seed)
+        assert gap > 1e-9
+        report = hayes_tail_experiment(shape, size, a, trials, seed, workers=workers)
+        assert report.empirical == hits / trials
+
+    def test_sets_are_uniform(self):
+        shape, size, trials = GridShape(6, 1), 2, 30_000
+        indicators = constructions._random_indicators(
+            np.random.default_rng(5), trials, shape, size
+        )
+        assert (indicators.sum(axis=1) == size).all()
+        # each point is in a set with probability 1/3
+        p = size / shape.size
+        sigma = math.sqrt(trials * p * (1 - p))
+        assert np.abs(indicators.sum(axis=0) - trials * p).max() < 5 * sigma
+        # and each of the 15 pairs is the set with probability 1/15
+        members = np.flatnonzero(indicators).reshape(trials, size) % shape.size
+        counts = np.bincount(members[:, 0] * shape.size + members[:, 1])
+        counts = counts[counts > 0]
+        sigma = math.sqrt(trials * (1 / 15) * (14 / 15))
+        assert counts.size == 15
+        assert np.abs(counts - trials / 15).max() < 5 * sigma
 
 
 class TestNormalizedIndicatorSignal:
