@@ -21,6 +21,7 @@ from znsynth.constructions import (
 from znsynth.fourier import FreqSet, Signal, Spectrum, forward, inverse
 from znsynth.inequalities import lp_norm
 from znsynth.lattice import GridShape, all_coords
+from znsynth.recovery import RecoveryProblem, mask_spectrum
 from znsynth.rng import spawn_generators
 
 
@@ -77,6 +78,26 @@ def random_bandlimited(
     keep[S.members] = True
     F[~keep] = 0.0
     return inverse(Spectrum(shape, F))
+
+
+def low_band_problem(p: float, truth_values=None):
+    """(problem, truth) on 64x1 with the 13 frequencies |m| <= 6 hidden, delta = 1.
+
+    The truth defaults to the point mass at 0.  Thirteen free coefficients
+    put 2^13 binary assignments over alphabet_candidates' default limit, so
+    an alphabet recover takes the rounding fallback.
+    """
+    shape = GridShape(64, 1)
+    truth = Signal.delta(shape, 0) if truth_values is None else Signal(shape, truth_values)
+    hidden = FreqSet.from_indices(shape, [m % 64 for m in range(-6, 7)])
+    problem = RecoveryProblem(
+        shape=shape,
+        observed=mask_spectrum(forward(truth), hidden),
+        hidden=hidden,
+        p=p,
+        delta=1.0,
+    )
+    return problem, truth
 
 
 def complex_indicator_norms(S: FreqSet, p: float) -> tuple[float, float]:

@@ -11,6 +11,7 @@ from znsynth.fourier import FreqSet, Signal, Spectrum, forward
 from znsynth.inequalities import lp_norm
 from znsynth.lattice import GridShape
 from znsynth.recovery import (
+    FEASIBILITY_TOL,
     MATCH_TOL,
     RecoveryProblem,
     brute_force_recover,
@@ -27,7 +28,7 @@ from znsynth.recovery import (
     uniqueness_certificate,
 )
 
-from helpers import reference_descent
+from helpers import low_band_problem, reference_descent
 
 
 def _problem(shape, truth_values, hidden_indices, p, delta=1.0):
@@ -479,6 +480,38 @@ class TestAlphabetDecode:
             delta=1.0,
         )
         assert len(alphabet_candidates(problem, (0.0, 1.0))) == 2
+
+
+class TestLowBandPaths:
+    """The p = 1 subgradient loop and the rounding fallback, pinned on 64x1.
+
+    random_instance never reaches the fallback with the binary alphabet, so
+    these instances are built by hand (see helpers.low_band_problem).
+    """
+
+    def test_subgradient_loop_is_pinned(self):
+        problem, _ = low_band_problem(1.0)
+        result = recover(problem, max_iters=200)
+        assert result.objective == 1.2853301576626757
+        assert result.iterations == 200
+        assert result.converged is False
+        assert feasibility_error(problem, result.signal) <= FEASIBILITY_TOL
+
+    def test_rounding_fallback_decodes_the_point_mass(self):
+        from znsynth.recovery import alphabet_candidates
+
+        problem, truth = low_band_problem(2.0)
+        assert alphabet_candidates(problem, (0.0, 1.0)) is None
+        result = recover(problem, alphabet=(0.0, 1.0))
+        assert result.snapped is True
+        assert np.array_equal(result.signal.values, truth.values)
+        assert result.certificate.unique is True
+
+    def test_infeasible_rounding_returns_the_raw_minimizer(self):
+        problem, _ = low_band_problem(2.0, (np.arange(64) < 8).astype(float))
+        result = recover(problem, alphabet=(0.0, 1.0))
+        assert result.snapped is False
+        assert np.array_equal(result.signal.values, recover(problem).signal.values)
 
 
 class TestInstanceGeneration:
