@@ -66,7 +66,6 @@ from .recovery import (
     recover,
     separation_check,
     symmetric_hidden_set,
-    uniqueness_certificate,
 )
 
 __version__ = "0.1.0"
@@ -122,7 +121,6 @@ __all__ = [
     "subspace_pair",
     "support",
     "symmetric_hidden_set",
-    "uniqueness_certificate",
     "vanishing_threshold",
     "verify_indicator_bound",
     "verify_support_bound",

@@ -71,21 +71,6 @@ def mask_spectrum(F: Spectrum, S: FreqSet) -> Spectrum:
     return Spectrum(F.shape, values)
 
 
-def uniqueness_certificate(norm: float, delta: float, c_size: float) -> bool:
-    """True iff norm < delta / (2 sqrt(c_size)), strictly.
-
-    This is the contrapositive of the chain
-    delta <= ||h||_inf <= 2 * ||f||_(2d/k) * sqrt(C_size)
-    applied to the difference h of two feasible separated candidates.  The
-    middle step is the support-size bound, a theorem for p = 2d/k >= 2
-    only; below p = 2 a True here proves nothing, and two feasible
-    separated candidates can both pass it.
-    """
-    if not (norm >= 0 and delta >= 0 and c_size >= 0):  # NaN fails too
-        raise ValueError("certificate inputs must be non-negative")
-    return norm < delta / (2.0 * math.sqrt(c_size))
-
-
 def separation_check(f: Signal, delta: float) -> bool:
     """True iff distinct values of f differ by at least delta and f is not constant.
 
@@ -155,12 +140,35 @@ class RecoveryProblem:
     @property
     def threshold(self) -> float:
         """Norm level below which recovery is unique: a theorem for p >= 2 only."""
-        return self.delta / (2.0 * vanishing_threshold(self.hidden.size, self.shape, self.p))
+        return _threshold(self.delta, self.hidden.size, self.shape, self.p)
 
     @functools.cached_property
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
         """The (g0, B) of :func:`reconstruction_basis`, built once per problem."""
         return reconstruction_basis(self)
+
+
+def _threshold(delta: float, size: int, shape: GridShape, p: float) -> float:
+    """delta / (2 sqrt(c_size)) for a hidden set of `size` members on `shape`.
+
+    This is the contrapositive of the chain
+    delta <= ||h||_inf <= 2 * ||f||_(2d/k) * sqrt(C_size)
+    applied to the difference h of two feasible separated candidates; the
+    middle step is the support-size bound, a theorem for p >= 2 only.
+    """
+    return delta / (2.0 * vanishing_threshold(size, shape, p))
+
+
+def _levels(alphabet: Sequence[float]) -> np.ndarray:
+    """The distinct values of an alphabet as floats, in increasing order."""
+    return np.asarray(sorted(set(float(a) for a in alphabet)))
+
+
+def _require_known_frequency(problem: RecoveryProblem) -> None:
+    if problem.hidden.size == problem.shape.size:
+        raise RecoveryError(
+            "every frequency is hidden; the constraints carry no information"
+        )
 
 
 def _check_conjugate_symmetry(F: Spectrum, hidden: FreqSet) -> None:
@@ -227,11 +235,6 @@ def free_parameter_count(problem: RecoveryProblem) -> int:
     return problem.basis[1].shape[1]
 
 
-def signal_from_parameters(problem: RecoveryProblem, v: np.ndarray) -> Signal:
-    g0, B = problem.basis
-    return Signal(problem.shape, g0 + B @ np.asarray(v, dtype=float))
-
-
 def objective_and_gradient(
     problem: RecoveryProblem, v: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -256,39 +259,65 @@ def recover(
 ) -> RecoveryResult:
     """Minimize ||g||_p over real signals matching the observed spectrum.
 
-    Feasibility is structural (free hidden coefficients, everything else
-    pinned), so every iterate matches the observed spectrum exactly.  For
-    p > 1 the objective is differentiable and plain descent with Armijo
-    backtracking is used: each trial step evaluates only sum_x |g(x)|^p,
-    and the gradient is formed once per iteration, at the accepted step.
-    The descent stops when the gradient norm is at most tol * max(1, sum_x
-    |g(x)|^p), so tol must be finite and >= 0.
-    p = 1 falls back to subgradient steps with a diminishing schedule and
-    no convergence guarantee.
-
-    With an alphabet, the feasible alphabet-valued signals are enumerated
-    exactly through the parameterization (see :func:`alphabet_candidates`)
-    and the minimal-norm value-separated one is returned; this decodes
-    correctly whenever the instance determines the signal at all.  When
-    that enumeration is out of budget, the descent output is rounded to
-    the nearest alphabet values instead, and the rounded signal replaces
-    the raw minimizer only if it reproduces the observed spectrum; note
-    rounding alone can mis-decode when the continuous minimizer sits more
-    than half a level away from the transmitted signal.
+    After its input checks, recover runs in stages.  Enumerate: with an
+    alphabet, :func:`alphabet_candidates` lists the feasible alphabet-valued
+    signals exactly, or gives None when out of budget.  Descend:
+    :func:`_descend` from the minimum-energy completion; every iterate is
+    feasible by construction, and tol must be finite and >= 0.  Pick: the
+    minimal-norm value-separated candidate, which decodes correctly
+    whenever the instance determines the signal at all.  Without
+    candidates, the descent output rounded to the nearest alphabet values
+    if that reproduces the observed spectrum, else the raw minimizer;
+    rounding alone can mis-decode when the minimizer sits more than half a
+    level away from the transmitted signal.  Certify: unique iff the
+    picked signal's norm is below problem.threshold.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got tol={tol}")
-    if problem.hidden.size == problem.shape.size:
-        raise RecoveryError(
-            "every frequency is hidden; the constraints carry no information"
-        )
-    g0, B = problem.basis
+    _require_known_frequency(problem)
     p = problem.p
+    candidates = None if alphabet is None else alphabet_candidates(problem, alphabet)
+    g0, B = problem.basis
+    v, iters, converged = _descend(g0, B, p, tol, max_iters)
+
+    raw = g0 + B @ v
+    signal, snapped = Signal(problem.shape, raw), False
+    if candidates:
+        separated = [c for c in candidates if separation_check(c, problem.delta)]
+        signal = min(separated or candidates, key=lambda c: lp_norm(c, p))
+        snapped = True
+    elif alphabet is not None:
+        rounded = Signal(problem.shape, _snap(raw, _levels(alphabet)))
+        if feasibility_error(problem, rounded) <= FEASIBILITY_TOL:
+            signal, snapped = rounded, True
+
+    norm = lp_norm(signal, p)
+    threshold = problem.threshold
+    # the verdict reads the reported threshold, so the two cannot disagree
+    cert = UniquenessCertificate(threshold=threshold, norm_at_solution=norm, unique=norm < threshold)
+    return RecoveryResult(
+        signal=signal,
+        objective=norm,
+        certificate=cert,
+        iterations=iters,
+        converged=converged,
+        snapped=snapped,
+    )
+
+
+def _descend(g0, B, p, tol, max_iters) -> tuple[np.ndarray, int, bool]:
+    """(v, iterations, converged) of descent on sum_x |g0 + B v|^p from v = 0.
+
+    p > 1: Armijo backtracking, where each trial step evaluates the
+    objective alone and the gradient is formed once per accepted step.
+    p = 1: subgradient steps with a diminishing schedule and no convergence
+    guarantee; the best iterate seen is returned.  Both stop once the
+    gradient norm is at most tol * max(1, sum_x |g(x)|^p).
+    """
     v = np.zeros(B.shape[1])
     obj, grad = _objective_and_gradient(g0, B, v, p)
-
     converged = False
     iters = 0
     if p > 1:
@@ -336,35 +365,7 @@ def recover(
                 best_v, best_obj = v.copy(), obj
         v, obj = best_v, best_obj
 
-    raw = g0 + B @ v
-    signal = Signal(problem.shape, raw)
-    snapped = False
-    if alphabet is not None:
-        candidates = alphabet_candidates(problem, alphabet)
-        if candidates:
-            separated = [c for c in candidates if separation_check(c, problem.delta)]
-            pool = separated or candidates
-            signal = min(pool, key=lambda c: lp_norm(c, p))
-            snapped = True
-        else:
-            levels = np.asarray(sorted(alphabet), dtype=float)
-            candidate = Signal(problem.shape, _snap(raw, levels))
-            if feasibility_error(problem, candidate) <= FEASIBILITY_TOL:
-                signal = candidate
-                snapped = True
-
-    norm = lp_norm(signal, p)
-    threshold = problem.threshold
-    # the verdict reads the reported threshold, so the two cannot disagree
-    cert = UniquenessCertificate(threshold=threshold, norm_at_solution=norm, unique=norm < threshold)
-    return RecoveryResult(
-        signal=signal,
-        objective=norm,
-        certificate=cert,
-        iterations=iters,
-        converged=converged,
-        snapped=snapped,
-    )
+    return v, iters, converged
 
 
 def feasibility_error(problem: RecoveryProblem, candidate: Signal) -> float:
@@ -428,7 +429,7 @@ def alphabet_candidates(
     rounding).  This stays far cheaper than enumerating all |alphabet|^(N^d)
     signals and never inspects more than the hidden coefficients.
     """
-    levels = np.asarray(sorted(set(float(a) for a in alphabet)))
+    levels = _levels(alphabet)
     g0, B = problem.basis
     t = B.shape[1]
     if len(levels) ** t > limit:
@@ -478,12 +479,9 @@ def brute_force_recover(
     frequency first; only the signals that pass are tested on all of them.
     Signals are visited in itertools.product order.
     """
+    _require_known_frequency(problem)
     shape = problem.shape
-    if problem.hidden.size == shape.size:
-        raise RecoveryError(
-            "every frequency is hidden; the constraints carry no information"
-        )
-    levels = np.asarray(sorted(set(float(a) for a in value_alphabet)))
+    levels = _levels(value_alphabet)
     count = len(levels) ** shape.size
     if count > budget:
         raise EnumerationBudgetExceeded(
@@ -628,7 +626,7 @@ def random_instance(
     smallest norm / limit seen.
     """
     rng = as_generator(seed)
-    levels = np.asarray(sorted(set(float(a) for a in alphabet)))
+    levels = _levels(alphabet)
     if levels.size < 2:
         raise ValueError("alphabet must contain at least two values")
     if delta is None:
@@ -638,8 +636,7 @@ def random_instance(
     if not p_grid:
         raise ValueError("p_grid must not be empty")
     tables = _hidden_set_tables(shape, hidden_size)
-    # the threshold of RecoveryProblem, with |hidden| = hidden_size
-    limits = [delta / (2.0 * vanishing_threshold(hidden_size, shape, p)) for p in p_grid]
+    limits = [_threshold(delta, hidden_size, shape, p) for p in p_grid]
     unseparated = no_exponent = ambiguous = 0
     best_ratio = math.inf
     for _ in range(max_tries):
