@@ -123,10 +123,6 @@ EXPLANATIONS = {
 }
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV, "0"))
-
-
 def parse_grid(text: str) -> GridShape:
     try:
         n, _, d = text.partition("x")
@@ -611,7 +607,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument(
             "--seed",
             type=int,
-            default=_default_seed(),
+            # a string default is converted, and a bad one reported as a
+            # usage error, only when --seed is absent
+            default=os.environ.get(SEED_ENV, "0"),
             help=f"RNG seed (default from ${SEED_ENV}, else 0)",
         )
         add_flags(sp)

@@ -244,12 +244,8 @@ def subspace_pair(shape: GridShape, spec: SubspaceSpec) -> tuple[FreqSet, FreqSe
         )
     coords = all_coords(shape)
     pinned = [j for j in range(shape.dim) if j not in axes]
-    in_h = np.ones(shape.size, dtype=bool)
-    if pinned:
-        in_h = (coords[:, pinned] == 0).all(axis=1)
-    in_perp = np.ones(shape.size, dtype=bool)
-    if axes:
-        in_perp = (coords[:, list(axes)] == 0).all(axis=1)
+    in_h = (coords[:, pinned] == 0).all(axis=1)
+    in_perp = (coords[:, list(axes)] == 0).all(axis=1)
     return (
         FreqSet(shape, np.nonzero(in_h)[0]),
         FreqSet(shape, np.nonzero(in_perp)[0]),

@@ -28,7 +28,9 @@ def spawn_generators(seed: int, n: int) -> list[np.random.Generator]:
 
 def run_indexed(fn: Callable[[int], T], n: int, workers: int = 1) -> list[T]:
     """Evaluate fn(0..n-1), possibly in parallel, returning results in index order."""
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
         return [fn(i) for i in range(n)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n)))

@@ -16,11 +16,19 @@ from znsynth.cli import (
     parse_grid,
     parse_range,
 )
+from znsynth.fourier import Signal, forward
 from znsynth.lattice import GridShape
 from znsynth.recovery import random_instance
-from znsynth.serialization import csv_body, load_json, problem_to_doc, write_json
+from znsynth.serialization import (
+    csv_body,
+    format_cell,
+    load_json,
+    problem_to_doc,
+    signal_to_doc,
+    write_json,
+)
 
-from helpers import complex_indicator_norms
+from helpers import complex_indicator_norms, low_band_problem
 
 
 def run(args, capsys=None):
@@ -134,6 +142,63 @@ class TestPipelines:
         doc = load_json(str(out))["result"]
         assert doc["indicator_norm_check"] is True
         assert doc["empirical_constant"] >= 1 - 1e-9
+
+
+    def test_phi_stats_random_set(self, capsys):
+        assert run(["phi-stats", "--grid", "16x1", "--size", "4", "--seed", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)["result"]
+        assert doc["set_size"] == 4 and doc["trivial_bound"] == 4.0
+        assert 0 < doc["phi"] <= 4.0
+
+    def test_phi_stats_tail_json(self, capsys):
+        assert run(["phi-stats", "--grid", "32x1", "--size", "8", "--tail-a", "5.0",
+                    "--trials", "64", "--seed", "2", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)["result"]
+        assert set(doc) == {"empirical", "bound", "mc_slack", "trials", "threshold",
+                            "passed"}
+        assert doc["trials"] == 64 and doc["threshold"] == 5.0
+
+    def test_sweep_json_rows_match_the_csv_body(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.csv"
+        args = ["sweep", "--alpha", "0.5", "--grid-range", "8..32", "--seed", "9"]
+        assert run(args + ["--format", "json", "--out", str(a)]) == 0
+        assert run(args + ["--out", str(b)]) == 0
+        doc = load_json(str(a))["result"]
+        lines = [",".join(doc["columns"])]
+        lines += [",".join(format_cell(c) for c in row) for row in doc["rows"]]
+        assert csv_body(b.read_text()).splitlines() == lines
+
+    def test_recover_csv_appends_rows_under_one_header(self, tmp_path):
+        csv = tmp_path / "rec.csv"
+        for seed in ("7", "8"):
+            assert run(["recover", "--grid", "8x1", "--hidden-size", "2",
+                        "--seed", seed, "--no-oracle", "--csv", str(csv),
+                        "--out", str(tmp_path / f"{seed}.json")]) == 0
+        text = csv.read_text()
+        assert text.count("# tool=") == 1
+        body = csv_body(text).splitlines()
+        assert body[0] == ",".join(cli.RECOVERY_CSV_COLUMNS)
+        assert [row.split(",")[0] for row in body[1:]] == ["7", "8"]
+
+    def test_construct_subspace_writes_the_annihilator(self, tmp_path):
+        h, perp = tmp_path / "h.json", tmp_path / "perp.json"
+        assert run(["construct", "--kind", "subspace", "--grid", "4x2", "--axes", "0",
+                    "--out", str(h), "--perp-out", str(perp)]) == 0
+        assert load_json(str(h))["members"] == [0, 4, 8, 12]
+        assert load_json(str(perp))["members"] == [0, 1, 2, 3]
+
+    def test_recover_problem_file_by_rounding(self, tmp_path):
+        # 2^13 assignments are over the enumeration limit and 2^64 over the
+        # oracle's budget: the rounded descent output decodes alone
+        problem, truth = low_band_problem(2.0)
+        prob, out = tmp_path / "problem.json", tmp_path / "r.json"
+        write_json(str(prob), problem_to_doc(problem))
+        assert run(["recover", "--problem-file", str(prob), "--alphabet", "0,1",
+                    "--out", str(out)]) == 0
+        doc = load_json(str(out))["result"]
+        assert doc["snapped"] is True
+        assert doc["oracle_agrees"] is None
+        assert doc["recovered"] == truth.values.real.tolist()
 
 
 class TestDeterminism:
@@ -303,6 +368,51 @@ class TestErrorPaths:
         assert "tail threshold a must be >= 0" in capsys.readouterr().err
         assert run(["phi-stats", "--grid", "64x1", "--size", "16",
                     "--trials", "20", "--tail-a", "inf"]) == 0
+
+    @pytest.mark.parametrize("args", [
+        "phi-stats --grid 64x1 --size 16 --tail-a 8 --trials 20 --workers {w}",
+        "lambda-search --grid 16x1 --size 4 --p 4 --workers {w}",
+        "sweep --alpha 0.5 --grid-range 8..16 --workers {w}",
+    ], ids=["phi-stats", "lambda-search", "sweep"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_is_usage_error(self, tmp_path, capsys, args, workers):
+        out = tmp_path / "out"
+        assert run(shlex.split(args.format(w=workers)) + ["--out", str(out)]) == 2
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_seed_env_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("ZNSYNTH_SEED", "abc")
+        assert _exit_code(["phi-stats", "--grid", "8x1", "--size", "2"]) == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_given_seed_overrides_a_malformed_seed_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("ZNSYNTH_SEED", "abc")
+        assert _exit_code(["phi-stats", "--grid", "8x1", "--size", "2",
+                           "--seed", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
+
+    @pytest.mark.parametrize("direction, domain", [
+        ("forward", "frequency"), ("inverse", "space"),
+    ])
+    def test_transform_of_the_wrong_domain_is_usage_error(
+        self, tmp_path, capsys, direction, domain
+    ):
+        shape = GridShape(4, 1)
+        f = Signal.delta(shape)
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        write_json(str(src), signal_to_doc(forward(f) if domain == "frequency" else f))
+        assert run(["transform", "--input", str(src), "--output", str(out),
+                    "--direction", direction]) == 2
+        assert f"{direction} transform expects" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_small_norm_at_infinite_exponent_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert run(["construct", "--kind", "small-norm", "--grid", "16x1",
+                    "--size", "4", "--p", "inf", "--out", str(out)]) == 2
+        assert "needs a finite --p" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_lambda_trials_is_usage_error(self, capsys):
         assert run(["lambda-search", "--grid", "16x1", "--size", "4", "--p", "4",

@@ -345,6 +345,10 @@ class TestSubspacePair:
             H, Hp = subspace_pair(shape, SubspaceSpec(axes=()))
         assert H.members.tolist() == [0]
         assert Hp.size == shape.size
+        with pytest.warns(UserWarning, match="degenerate"):
+            H, Hp = subspace_pair(shape, SubspaceSpec(axes=(0, 1)))
+        assert H.size == shape.size
+        assert Hp.members.tolist() == [0]
 
     def test_bad_axes(self):
         with pytest.raises(ValueError):
