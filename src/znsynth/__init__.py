@@ -14,6 +14,7 @@ from .constructions import (
     RejectionSample,
     SubspaceSpec,
     TailReport,
+    certified_lambda_constant,
     empirical_lambda_constant,
     hayes_tail_bound,
     hayes_tail_experiment,
@@ -26,6 +27,7 @@ from .constructions import (
     random_set,
     rejection_sample_flat,
     rejection_sample_small_norm,
+    representation_counts,
     subspace_pair,
 )
 from .errors import (
@@ -91,6 +93,7 @@ __all__ = [
     "TailReport",
     "alphabet_candidates",
     "brute_force_recover",
+    "certified_lambda_constant",
     "character",
     "convolve",
     "decode",
@@ -117,6 +120,7 @@ __all__ = [
     "recover",
     "rejection_sample_flat",
     "rejection_sample_small_norm",
+    "representation_counts",
     "separation_check",
     "subspace_pair",
     "support",

@@ -98,11 +98,16 @@ EXPLANATIONS = {
         "2 N^d e^2 exp(-a^2/|S|) plus 3-sigma Monte-Carlo slack."
     ),
     "lambda-search": (
-        "Random-restart greedy swap search for a set S minimizing the "
-        "empirical constant max_a N^(-d/p) ||sum_{m in S} a_m e^(2pi i "
-        "x.m/N)||_p / ||a||_2 over random coefficient probes.  Small "
-        "constants certify near-Lambda(p) behavior of S; the indicator "
-        "norm check ||1S_hat||_p <= C N^(d/p) N^(-d/2) |S|^(1/2) follows."
+        "Random-restart greedy swap search for a set S with few additive "
+        "representations: it minimizes (max_y r_S(y), sum_y r_S(y)^2), "
+        "where r_S(y) = #{(s, t) in S^2 : s + t = y}.  The Lambda(p) "
+        "constant C = max_a N^(-d/p) ||sum_{m in S} a_m e^(2pi i x.m/N)||_p "
+        "/ ||a||_2 is reported as a bracket: empirical_constant, a lower "
+        "estimate over random coefficient probes, and certified_constant, "
+        "a theorem with m = max r_S: m^(1/2-1/p) for p <= 4 and m^(1/p) "
+        "|S|^(1/2-2/p) above.  p and --trials set only the bracket, not the "
+        "set.  The indicator norm check ||1S_hat||_p <= C N^(d/p) N^(-d/2) "
+        "|S|^(1/2) is made with the certified C."
     ),
     "recover": (
         "Exact recovery of a value-separated real signal from its spectrum "
@@ -300,7 +305,8 @@ def cmd_phi_stats(ns) -> int:
     mode = pick_mode(ns)
     if mode == "tail":
         report = hayes_tail_experiment(
-            ns.grid, ns.size, ns.tail_a, ns.trials, ns.seed, workers=ns.workers
+            ns.grid, ns.size, ns.tail_a, ns.trials, ns.seed,
+            workers=1 if ns.workers is None else ns.workers,
         )
         if (ns.format or "csv") == "json":
             _emit_json(
@@ -353,7 +359,6 @@ def cmd_lambda_search(ns) -> int:
         trials=ns.trials,
         workers=ns.workers,
     )
-    certified = candidate.empirical_constant * 1.01
     _emit_json(
         ns,
         {
@@ -362,9 +367,9 @@ def cmd_lambda_search(ns) -> int:
             "empirical_constant": candidate.empirical_constant,
             "trials": candidate.trials,
             "seed": candidate.seed,
-            "certified_constant": certified,
+            "certified_constant": candidate.certified_constant,
             "indicator_norm_check": lambda_constant_check(
-                candidate.set, candidate.p, certified
+                candidate.set, candidate.p, candidate.certified_constant
             ),
         },
     )
@@ -520,7 +525,7 @@ def _phi_stats_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--size", type=int)
     sp.add_argument("--tail-a", type=float, help="tail threshold a for P(phi >= a)")
     sp.add_argument("--trials", type=int, help="Monte-Carlo trials (enables tail mode)")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, help="tail-mode threads (default 1)")
     sp.add_argument("--format", choices=["json", "csv"])
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_phi_stats)
@@ -631,7 +636,7 @@ MODES = {
     ("phi-stats", ""): ("", "--out"),
     ("phi-stats", "set-file"): ("--set-file", "--grid"),
     ("phi-stats", "random"): ("--grid --size", ""),
-    ("phi-stats", "tail"): ("--grid --size --tail-a --trials", "--format"),
+    ("phi-stats", "tail"): ("--grid --size --tail-a --trials", "--format --workers"),
     ("lambda-search", ""): ("--grid --size --p", "--out"),
     ("recover", ""): ("", "--alphabet --csv --out --problem-out"),
     ("recover", "problem-file"): ("--problem-file", "--grid"),

@@ -6,8 +6,9 @@ Three families are built here:
   statistic Phi and a Monte-Carlo check of its large-deviation tail;
 * coordinate subgroups H of Z_N^d and their annihilators H_perp, the
   exact-equality family for the indicator-dual bound;
-* randomized search for near-Lambda(p) sets, certified by an empirical
-  constant measured on random exponential sums.
+* randomized search for near-Lambda(p) sets with few additive
+  representations, bracketed by a constant proven from the representation
+  counts and an empirical one measured on random exponential sums.
 """
 
 from __future__ import annotations
@@ -230,16 +231,18 @@ def subspace_pair(shape: GridShape, spec: SubspaceSpec) -> tuple[FreqSet, FreqSe
     supported exactly on H_perp with constant value N^(K - d/2), so
     |supp| * |H| = N^d (the equality case of the uncertainty principle).
 
-    K = 0 or K = d degenerate to {0} and the full grid; a warning is
-    emitted since most identities become trivial there.
+    K = 0 degenerates to ({0}, full grid) and K = d to (full grid, {0}); a
+    warning naming the pair is emitted since most identities become
+    trivial there.
     """
     axes = spec.axes
     if any(j < 0 or j >= shape.dim for j in axes):
         raise ValueError(f"axes must lie in [0, {shape.dim}), got {axes}")
     k = len(axes)
     if k == 0 or k == shape.dim:
+        pair = "({0}, full grid)" if k == 0 else "(full grid, {0})"
         warnings.warn(
-            f"degenerate subspace with K = {k} on {shape}; pair is ({{0}}, full grid)",
+            f"degenerate subspace with K = {k} on {shape}; pair is {pair}",
             stacklevel=2,
         )
     coords = all_coords(shape)
@@ -322,13 +325,56 @@ def _rejection_sample(shape, size, statistic, threshold, max_draws, seed, label)
 
 @dataclass(frozen=True)
 class LambdaCandidate:
-    """A frequency set with its certified empirical Lambda(p) constant."""
+    """A frequency set with its bracket on the Lambda(p) constant.
+
+    empirical_constant is a lower estimate (the largest ratio over random
+    probes); certified_constant is an upper bound by theorem (see
+    certified_lambda_constant).
+    """
 
     set: FreqSet
     p: float
     empirical_constant: float
+    certified_constant: float
     trials: int
     seed: int
+
+
+def representation_counts(shape: GridShape, members: np.ndarray) -> np.ndarray:
+    """(sets, N^d) counts r_S(y) = #{(s, t) in S^2 : s + t = y}, one row per set.
+
+    members is (sets, |S|) linear indices.  The pair sums are taken
+    coordinate-wise mod N, and one bincount counts every row, so the counts
+    are exact integers.
+    """
+    members = np.asarray(members, dtype=np.int64)
+    sets = members.shape[0]
+    coords = np.stack(np.unravel_index(members, shape.axes), axis=-1)
+    sums = (coords[:, :, None] + coords[:, None]) % shape.modulus
+    flat = np.ravel_multi_index(tuple(np.moveaxis(sums, -1, 0)), shape.axes)
+    flat += shape.size * np.arange(sets)[:, None, None]
+    return np.bincount(flat.ravel(), minlength=sets * shape.size).reshape(
+        sets, shape.size
+    )
+
+
+def certified_lambda_constant(S: FreqSet, p: float) -> float:
+    """An upper bound on the Lambda(p) constant of S from m = max_y r_S(y).
+
+    By Parseval and Cauchy-Schwarz the constant at p = 4 is at most
+    m^(1/4) (Rudin's Sidon-set argument), and it is 1 at p = 2.  Hoelder
+    between L^2 and L^4 gives m^(1/2 - 1/p) for 2 < p <= 4; for p > 4,
+    ||f||_p^p <= ||f||_4^4 ||f||_inf^(p-4) with the sup-norm constant at
+    most |S|^(1/2) gives m^(1/p) |S|^(1/2 - 2/p).
+    """
+    if not 2 < p < math.inf:
+        raise ValueError(f"requires finite p > 2, got {p}")
+    if S.size == 0:
+        raise ValueError("certified constant requires a non-empty set")
+    m = int(representation_counts(S.shape, S.members[None]).max())
+    if p <= 4:
+        return m ** (0.5 - 1.0 / p)
+    return m ** (1.0 / p) * S.size ** (0.5 - 2.0 / p)
 
 
 def empirical_lambda_constant(S: FreqSet, p: float, trials: int, seed) -> float:
@@ -341,8 +387,9 @@ def empirical_lambda_constant(S: FreqSet, p: float, trials: int, seed) -> float:
     over `trials` standard Gaussian draws.  The all-equal coefficient
     vector is always included as a probe: its ratio equals
     N^(-d/p) * ||1S_hat||_p * N^(d/2) / |S|^(1/2), so the returned
-    constant certifies the indicator norm as well.  The ratio is at
-    least 1 for any single probe supported on one character.
+    constant dominates the indicator norm as well.  The ratio is at
+    least 1 for any single probe supported on one character.  A maximum
+    over probes, it is a lower estimate of the Lambda(p) constant.
     """
     if S.size == 0:
         raise ValueError("empirical constant requires a non-empty set")
@@ -350,73 +397,17 @@ def empirical_lambda_constant(S: FreqSet, p: float, trials: int, seed) -> float:
         raise ValueError("trials must be >= 0")
     rng = as_generator(seed)
     probes = np.vstack([np.ones((1, S.size)), rng.standard_normal((trials, S.size))])
-    return float(_probe_ratios(S.shape, p, S.members[None], probes).max())
-
-
-# Grid points per batched inverse FFT of the probe ratios (4 MB of complex
-# values): bounds memory on large grids, where scoring every swap
-# candidate at once would take hundreds of MB, while keeping the calls
-# per swap position few.
-PROBE_BLOCK_POINTS = 1 << 18
-
-# Probes every swap candidate is scored on first: those with the largest
-# ratios on the current members.  Only candidates still below the bar
-# after them are scored on the rest.
-LEAD_PROBES = 4
-
-
-def _probe_ratios(
-    shape: GridShape, p: float, members: np.ndarray, probes: np.ndarray,
-    rows=slice(None),
-) -> np.ndarray:
-    """(sets, probe rows) normalized ratios of members' rows on probes[rows].
-
-    members is (sets, |S|) with each row sorted ascending; probe column j
-    is the coefficient of a row's j-th smallest member.
-    """
-    denom = np.linalg.norm(probes, axis=1)[rows]
-    probes = probes[rows]
-    count, width = probes.shape
-    step = max(1, PROBE_BLOCK_POINTS // (count * shape.size))
-    out = np.empty((members.shape[0], count))
-    for lo in range(0, members.shape[0], step):
-        block = members[lo:lo + step]
-        sets = block.shape[0]
-        full = np.zeros((sets, count, shape.size), dtype=np.complex128)
-        np.put_along_axis(
-            full, np.broadcast_to(block[:, None, :], (sets, count, width)),
-            probes[None], axis=2,
-        )
-        # in place (out= needs numpy >= 2.0): a fresh array per step costs
-        # more than the FFT here
-        grids = full.reshape((sets * count,) + shape.axes)
-        sums = np.fft.ifftn(grids, axes=tuple(range(1, shape.dim + 1)), out=grids)
-        sums *= shape.size
-        mags = np.abs(sums).reshape(sets, count, -1)
-        norms = np.sum(np.power(mags, p, out=mags), axis=2) ** (1.0 / p)
-        out[lo:lo + sets] = shape.size ** (-1.0 / p) * norms / denom
-    return out
-
-
-def _probe_max_ratio(
-    shape: GridShape, p: float, members: np.ndarray, probes: np.ndarray,
-    lead: np.ndarray, stop: float,
-) -> np.ndarray:
-    """Per row of members, max over probe rows of the ratio, cut short at stop.
-
-    Every row is scored on the probes lead indexes first, and only rows
-    still below stop on the rest: a row reads its exact max when that is
-    below stop, and otherwise a partial max that is at least stop.  Each
-    ratio is computed on its own row, so the bits do not depend on which
-    rows share a batch.
-    """
-    out = _probe_ratios(shape, p, members, probes, lead).max(axis=1)
-    live = np.flatnonzero(out < stop)
-    rest = np.delete(np.arange(probes.shape[0]), lead)
-    if live.size and rest.size:
-        tail = _probe_ratios(shape, p, members[live], probes, rest).max(axis=1)
-        out[live] = np.maximum(out[live], tail)
-    return out
+    shape = S.shape
+    full = np.zeros((trials + 1, shape.size), dtype=np.complex128)
+    full[:, S.members] = probes
+    # in place (out= needs numpy >= 2.0)
+    grids = full.reshape((trials + 1,) + shape.axes)
+    sums = np.fft.ifftn(grids, axes=tuple(range(1, shape.dim + 1)), out=grids)
+    sums *= shape.size
+    mags = np.abs(sums).reshape(trials + 1, -1)
+    norms = np.sum(np.power(mags, p, out=mags), axis=1) ** (1.0 / p)
+    ratios = shape.size ** (-1.0 / p) * norms / np.linalg.norm(probes, axis=1)
+    return float(ratios.max())
 
 
 def lambda_p_search(
@@ -429,17 +420,19 @@ def lambda_p_search(
     max_swaps: int = 64,
     workers: int = 1,
 ) -> LambdaCandidate:
-    """Random-restart greedy swap search for a small empirical Lambda(p) constant.
+    """Random-restart greedy swap search for a set with small representation counts.
 
-    Each of `budget` restarts draws a start set and a fixed probe matrix
-    from its own spawned stream, then hill-descends by single-element
-    swaps (best replacement per position, at most `max_swaps` sampled
-    candidates per position, all scored in one batched call) until no
-    swap improves.  A candidate stops being scored once one probe ratio
-    shows it cannot win; the LEAD_PROBES probes with the largest ratios
-    on the current members are tried first.  The best restart wins; ties
-    break toward the lower restart index, so the output is a function of
-    (seed, parameters) only.
+    Each of `budget` restarts draws a start set from its own spawned
+    stream, then hill-descends by single-element swaps (best replacement
+    per position, at most `max_swaps` sampled candidates per position, all
+    counted in one batched call) until no swap improves.  A set is scored
+    by the key (max_y r_S(y), sum_y r_S(y)^2), the second term being the
+    additive energy, and a swap is taken only on a strictly smaller key.
+    The best restart wins; ties break toward the lower restart index, so
+    the found set is a function of (shape, size, budget, seed, max_swaps)
+    only: p and `trials` set only the reported bracket, the certified
+    constant of certified_lambda_constant and the empirical lower estimate
+    on `trials` probes drawn from one more spawned stream.
     """
     if not 2 < p < math.inf:
         raise ValueError(f"requires finite p > 2, got {p}")
@@ -450,21 +443,17 @@ def lambda_p_search(
         raise ValueError("trials must be >= 0")
     if max_swaps < 0:
         raise ValueError("max_swaps must be >= 0")
-    rngs = spawn_generators(seed, budget)
+    rngs = spawn_generators(seed, budget + 1)
 
-    def one_restart(r: int) -> tuple[float, np.ndarray]:
+    def keys(members: np.ndarray) -> np.ndarray:
+        """(2, sets) keys: the max counts, then the additive energies."""
+        counts = representation_counts(shape, members)
+        return np.stack([counts.max(axis=1), np.einsum("ij,ij->i", counts, counts)])
+
+    def one_restart(r: int) -> tuple[tuple[int, int], np.ndarray]:
         rng = rngs[r]
         members = np.sort(rng.choice(shape.size, size=size, replace=False))
-        probes = np.vstack(
-            [np.ones((1, size)), rng.standard_normal((trials, size))]
-        )
-
-        def leading(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            ratios = _probe_ratios(shape, p, members[None], probes)[0]
-            return ratios, np.argsort(ratios)[-LEAD_PROBES:]
-
-        ratios, lead = leading(members)
-        best = float(ratios.max())
+        best = tuple(keys(members[None])[:, 0].tolist())
         # no candidates when the grid is full or max_swaps is 0
         improved = min(max_swaps, shape.size - size) > 0
         while improved:
@@ -477,31 +466,25 @@ def lambda_p_search(
                     )
                 trial_members = np.repeat(members[None], outside.size, axis=0)
                 trial_members[:, pos] = outside
-                trial_members.sort(axis=1)
-                # a swap must beat best by 1e-12; a candidate one probe
-                # puts at or above that bar can never be taken
-                stop = best - 1e-12
-                values = _probe_max_ratio(
-                    shape, p, trial_members, probes, lead=lead, stop=stop
-                )
-                # argmin takes the first of equal values, as an in-order
-                # scan accepting only a strict improvement would; rows cut
-                # short read at least stop, so they neither win nor tie
-                k = int(np.argmin(values))
-                if values[k] < stop:
-                    best = float(values[k])
+                values = keys(trial_members)
+                # lexsort is stable: the first of equal keys, as an in-order
+                # scan accepting only a strict improvement would take
+                k = int(np.lexsort(values[::-1])[0])
+                key = tuple(values[:, k].tolist())
+                if key < best:
+                    best = key
                     members[pos] = outside[k]
                     members = np.sort(members)
-                    lead = leading(members)[1]
                     improved = True
         return best, members
 
     results = run_indexed(one_restart, budget, workers=workers)
-    constant, members = min(results, key=lambda t: t[0])
+    found = FreqSet(shape, min(results, key=lambda t: t[0])[1])
     return LambdaCandidate(
-        set=FreqSet(shape, members),
+        set=found,
         p=p,
-        empirical_constant=constant,
+        empirical_constant=empirical_lambda_constant(found, p, trials, rngs[budget]),
+        certified_constant=certified_lambda_constant(found, p),
         trials=trials,
         seed=seed,
     )

@@ -13,14 +13,13 @@ import math
 import numpy as np
 
 from znsynth.constructions import (
-    PROBE_BLOCK_POINTS,
     TAIL_BLOCK_POINTS,
     normalized_indicator_signal,
     phi,
 )
 from znsynth.fourier import FreqSet, Signal, Spectrum, forward, inverse
 from znsynth.inequalities import lp_norm
-from znsynth.lattice import GridShape, all_coords
+from znsynth.lattice import GridShape, all_coords, decode, encode
 from znsynth.recovery import RecoveryProblem, mask_spectrum
 from znsynth.rng import spawn_generators
 
@@ -148,51 +147,39 @@ def reference_descent(g0, B, p, tol, max_iters):
     return g0 + B @ v, iters, converged
 
 
-def reference_probe_max_ratio(shape, p, members, probes):
-    """Per row of members, the full max over every probe of the normalized ratio.
+def reference_representation_counts(shape, members):
+    """r_S(y) = #{(s, t) in S^2 : s + t = y} for one set, by a double loop over S^2.
 
-    This is `constructions._probe_max_ratio` as it stood before candidates
-    were scored on lead probes first.
+    Each pair is added coordinate by coordinate on decoded points, and
+    `encode` reduces the sum mod N.
     """
-    rows, width = probes.shape
-    step = max(1, PROBE_BLOCK_POINTS // (rows * shape.size))
-    denom = np.linalg.norm(probes, axis=1)
-    out = np.empty(members.shape[0])
-    for lo in range(0, members.shape[0], step):
-        block = members[lo:lo + step]
-        sets = block.shape[0]
-        full = np.zeros((sets, rows, shape.size), dtype=np.complex128)
-        np.put_along_axis(
-            full, np.broadcast_to(block[:, None, :], (sets, rows, width)),
-            probes[None], axis=2,
-        )
-        grids = full.reshape((sets * rows,) + shape.axes)
-        sums = np.fft.ifftn(grids, axes=tuple(range(1, shape.dim + 1)), out=grids)
-        sums *= shape.size
-        mags = np.abs(sums).reshape(sets, rows, -1)
-        norms = np.sum(np.power(mags, p, out=mags), axis=2) ** (1.0 / p)
-        ratios = shape.size ** (-1.0 / p) * norms / denom
-        out[lo:lo + sets] = ratios.max(axis=1)
-    return out
+    points = [decode(int(s), shape) for s in members]
+    counts = np.zeros(shape.size, dtype=np.int64)
+    for a in points:
+        for b in points:
+            counts[encode(tuple(x + y for x, y in zip(a, b)), shape)] += 1
+    return counts
 
 
-def reference_lambda_search(shape, size, p, budget, seed, trials=64, max_swaps=64):
-    """The swap search of `constructions.lambda_p_search`, every candidate fully scored.
+def reference_lambda_search(shape, size, budget, seed, max_swaps=64):
+    """The swap search of `constructions.lambda_p_search`, one candidate at a time.
 
-    This is the loop as it stood before candidates were cut short;
-    `lambda_p_search` must reproduce it bit for bit.  Returns (members,
-    empirical constant) of the best restart.
+    Restarts, streams and candidate sampling are those of the library;
+    each candidate is scored on its own by `reference_representation_counts`
+    and a candidate is taken, in order, only on a strictly smaller key
+    (max r_S, sum r_S^2).  Neither p nor the probe count enters.  Returns
+    (members, key) of the best restart.
     """
     rngs = spawn_generators(seed, budget)
+
+    def key(members):
+        counts = reference_representation_counts(shape, members)
+        return int(counts.max()), int((counts * counts).sum())
 
     def one_restart(r):
         rng = rngs[r]
         members = np.sort(rng.choice(shape.size, size=size, replace=False))
-        probes = np.vstack(
-            [np.ones((1, size)), rng.standard_normal((trials, size))]
-        )
-
-        best = float(reference_probe_max_ratio(shape, p, members[None], probes)[0])
+        best = key(members)
         improved = min(max_swaps, shape.size - size) > 0
         while improved:
             improved = False
@@ -202,21 +189,22 @@ def reference_lambda_search(shape, size, p, budget, seed, trials=64, max_swaps=6
                     outside = np.sort(
                         rng.choice(outside, size=max_swaps, replace=False)
                     )
-                trial_members = np.repeat(members[None], outside.size, axis=0)
-                trial_members[:, pos] = outside
-                trial_members.sort(axis=1)
-                values = reference_probe_max_ratio(shape, p, trial_members, probes)
-                k = int(np.argmin(values))
-                if values[k] < best - 1e-12:
-                    best = float(values[k])
-                    members[pos] = outside[k]
+                taken = None
+                for candidate in outside:
+                    trial = members.copy()
+                    trial[pos] = candidate
+                    value = key(trial)
+                    if value < (best if taken is None else taken[0]):
+                        taken = (value, candidate)
+                if taken is not None:
+                    best = taken[0]
+                    members[pos] = taken[1]
                     members = np.sort(members)
                     improved = True
         return best, members
 
-    constant, members = min((one_restart(r) for r in range(budget)),
-                            key=lambda t: t[0])
-    return members.tolist(), constant
+    best, members = min((one_restart(r) for r in range(budget)), key=lambda t: t[0])
+    return members.tolist(), best
 
 
 def reference_tail_hits(shape, size, a, trials, seed):

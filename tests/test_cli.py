@@ -127,12 +127,14 @@ class TestPipelines:
         assert np.allclose(a, b, atol=1e-6)
 
     def test_phi_stats_tail_csv(self, tmp_path):
-        out = tmp_path / "tail.csv"
-        assert run(["phi-stats", "--grid", "32x1", "--size", "8",
-                    "--tail-a", "5.0", "--trials", "64", "--seed", "2",
-                    "--out", str(out)]) == 0
+        out, threaded = tmp_path / "tail.csv", tmp_path / "tail_w2.csv"
+        argv = ["phi-stats", "--grid", "32x1", "--size", "8", "--tail-a", "5.0",
+                "--trials", "64", "--seed", "2", "--out"]
+        assert run(argv + [str(out)]) == 0
+        assert run(argv + [str(threaded), "--workers", "2"]) == 0
         body = csv_body(out.read_text())
         assert body.splitlines()[0] == "N,d,size,p,statistic,bound,pass"
+        assert csv_body(threaded.read_text()) == body
 
     def test_lambda_search_json(self, tmp_path):
         out = tmp_path / "cand.json"
@@ -142,6 +144,7 @@ class TestPipelines:
         doc = load_json(str(out))["result"]
         assert doc["indicator_norm_check"] is True
         assert doc["empirical_constant"] >= 1 - 1e-9
+        assert doc["empirical_constant"] <= doc["certified_constant"]
 
 
     def test_phi_stats_random_set(self, capsys):
@@ -312,9 +315,12 @@ class TestErrorPaths:
          "--set-file {s} --target 2", ["--axes", "--perp-out", "--set-file", "--target"]),
         ("construct --kind normalized-signal --set-file {s} --size 5", ["--size"]),
         ("construct --kind subspace --grid 8x2 --axes 0 --size 3", ["--size"]),
+        ("phi-stats --set-file {s} --workers 2", ["--workers"]),
+        ("phi-stats --grid 8x1 --size 2 --workers 0", ["--workers"]),
     ], ids=["phi-stats-set-file", "phi-stats-random", "recover-problem-file",
             "sweep-critical", "construct-random", "construct-normalized-signal",
-            "construct-subspace"])
+            "construct-subspace", "phi-stats-set-file-workers",
+            "phi-stats-random-workers"])
     def test_flag_of_another_mode_is_usage_error(self, tmp_path, capsys, args, stray):
         s, p, q, out = (tmp_path / n for n in ("s.json", "p.json", "q.json", "out"))
         assert run(["construct", "--kind", "random", "--grid", "8x1", "--size", "2",

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from znsynth import constructions
 from znsynth.constructions import (
     SubspaceSpec,
+    certified_lambda_constant,
     empirical_lambda_constant,
     hayes_tail_bound,
     hayes_tail_experiment,
@@ -19,6 +21,7 @@ from znsynth.constructions import (
     random_set,
     rejection_sample_flat,
     rejection_sample_small_norm,
+    representation_counts,
     subspace_pair,
 )
 from znsynth.errors import SamplingBudgetExceeded
@@ -30,7 +33,7 @@ from znsynth.rng import spawn_generators
 from helpers import (
     complex_indicator_norms,
     reference_lambda_search,
-    reference_probe_max_ratio,
+    reference_representation_counts,
     reference_tail_hits,
 )
 
@@ -341,11 +344,13 @@ class TestSubspacePair:
 
     def test_degenerate_warns(self):
         shape = GridShape(4, 2)
-        with pytest.warns(UserWarning, match="degenerate"):
+        with pytest.warns(UserWarning, match=re.escape("K = 0 on 4x2; pair is "
+                                                       "({0}, full grid)")):
             H, Hp = subspace_pair(shape, SubspaceSpec(axes=()))
         assert H.members.tolist() == [0]
         assert Hp.size == shape.size
-        with pytest.warns(UserWarning, match="degenerate"):
+        with pytest.warns(UserWarning, match=re.escape("K = 2 on 4x2; pair is "
+                                                       "(full grid, {0})")):
             H, Hp = subspace_pair(shape, SubspaceSpec(axes=(0, 1)))
         assert H.size == shape.size
         assert Hp.members.tolist() == [0]
@@ -445,14 +450,14 @@ class TestLambdaMachinery:
         assert np.array_equal(a.set.members, c.set.members)
         assert a.empirical_constant == c.empirical_constant
 
-    # Pinned from the one-FFT-per-candidate implementation; scoring a swap
-    # position in one batch must reproduce it exactly.
+    # Pinned from the representation-count search: members, then the
+    # 64-probe (16 in the second case) empirical constant on its own stream
     @pytest.mark.parametrize("kwargs, members, constant", [
         (dict(shape=GridShape(64, 1), size=8, p=4.0, budget=4, seed=7),
-         [1, 8, 12, 21, 24, 26, 27, 55], 1.1798055308852835),
+         [0, 3, 7, 19, 20, 33, 56, 62], 1.1894247602889159),
         (dict(shape=GridShape(8, 2), size=5, p=3.0, budget=2, seed=1, trials=16,
               workers=2),
-         [16, 37, 56, 57, 59], 1.0791989858836675),
+         [0, 1, 42, 51, 53], 1.0835664421245843),
     ])
     def test_search_golden(self, kwargs, members, constant):
         cand = lambda_p_search(**kwargs)
@@ -460,8 +465,8 @@ class TestLambdaMachinery:
         assert cand.empirical_constant == constant
 
     def test_search_without_swaps_returns_a_start_set(self):
-        # pinned from the one-FFT-per-candidate implementation, where an
-        # empty candidate list left each restart's start set unchanged
+        # with no candidates each restart keeps its start set; the lowest
+        # key among them wins
         shape = GridShape(64, 1)
         cand = lambda_p_search(shape, 8, 4.0, budget=3, seed=7, max_swaps=0)
         starts = [np.sort(g.choice(shape.size, size=8, replace=False)).tolist()
@@ -472,18 +477,9 @@ class TestLambdaMachinery:
         with pytest.raises(ValueError):
             lambda_p_search(shape, 8, 4.0, budget=3, seed=7, max_swaps=-1)
 
-    def test_probe_blocks_do_not_change_result(self, monkeypatch):
-        kwargs = dict(shape=GridShape(32, 1), size=6, p=4.0, budget=2, seed=8,
-                      trials=16)
-        a = lambda_p_search(**kwargs)
-        monkeypatch.setattr(constructions, "PROBE_BLOCK_POINTS", 1)
-        b = lambda_p_search(**kwargs)
-        assert np.array_equal(a.set.members, b.set.members)
-        assert a.empirical_constant == b.empirical_constant
-
     def test_certified_constant_passes_indicator_check(self):
         cand = lambda_p_search(GridShape(32, 1), 6, 4.0, budget=2, seed=5, trials=32)
-        assert lambda_constant_check(cand.set, 4.0, cand.empirical_constant * 1.01)
+        assert lambda_constant_check(cand.set, 4.0, cand.certified_constant)
 
     def test_indicator_check_origin_set(self):
         # ||1S_hat||_p for S = {0} equals N^(d/p - d/2); C = 1 is exact
@@ -506,54 +502,87 @@ class TestLambdaMachinery:
         # certified sets satisfy ||1S_hat||_p * ||1S_hat||_p' <= C |S|
         cand = lambda_p_search(GridShape(32, 1), 6, 4.0, budget=2, seed=12, trials=32)
         g = indicator_spectrum(cand.set)
-        C = cand.empirical_constant * 1.01
+        C = cand.certified_constant
         product = lp_norm(g, 4.0) * lp_norm(g, dual_exponent(4.0))
         assert product <= C * cand.set.size * (1 + 1e-9)
 
 
+class TestRepresentationCounts:
+    @pytest.mark.parametrize("n, d", [(16, 1), (8, 2), (4, 3)])
+    def test_matches_double_loop(self, n, d):
+        shape = GridShape(n, d)
+        rng = np.random.default_rng(n * d)
+        x, y = 5, shape.size - 3
+        sets = [[0], [0, x], [x, int(negate_indices(np.array([x]), shape)[0])],
+                [0, y, int(negate_indices(np.array([y]), shape)[0]), x]]
+        sets += [sorted(rng.choice(shape.size, 7, replace=False).tolist())
+                 for _ in range(6)]
+        for members in sets:
+            counts = representation_counts(shape, np.array([members]))
+            assert counts.tolist() == [
+                reference_representation_counts(shape, members).tolist()
+            ]
+        # rows of one call are counted apart
+        same_size = np.array(sets[4:])
+        counts = representation_counts(shape, same_size)
+        for row, members in zip(counts, same_size):
+            assert row.tolist() == reference_representation_counts(
+                shape, members).tolist()
+
+    def test_sidon_set_certificate(self):
+        # every nonzero difference of this set is distinct, so max r_S = 2
+        S = FreqSet.from_indices(GridShape(64, 1), [3, 9, 10, 14, 27, 36, 39, 59])
+        assert representation_counts(S.shape, S.members[None]).max() == 2
+        assert certified_lambda_constant(S, 4.0) == 2 ** 0.25
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+    def test_certified_dominates_many_probes(self, p):
+        # the set the gate-6 search once reported a "certified" 1.2058 for,
+        # below its 20,000-probe constant 1.2186, then random sets whose
+        # sizes are no subgroup's, so the bound is not attained
+        sets = [FreqSet.from_indices(GridShape(64, 1),
+                                     [1, 16, 19, 20, 28, 30, 35, 52])]
+        rng = np.random.default_rng(int(4 * p))
+        for shape, size in [(GridShape(16, 1), 5), (GridShape(8, 2), 6),
+                            (GridShape(4, 3), 7), (GridShape(64, 1), 9)]:
+            sets.append(random_set(shape, size, seed=rng))
+        for S in sets:
+            measured = empirical_lambda_constant(S, p, trials=20_000, seed=rng)
+            assert measured <= certified_lambda_constant(S, p)
+
+    def test_certified_rejects_bad_input(self):
+        S = FreqSet.from_indices(GridShape(16, 1), [1, 5])
+        with pytest.raises(ValueError, match="p > 2"):
+            certified_lambda_constant(S, 2.0)
+        with pytest.raises(ValueError, match="non-empty"):
+            certified_lambda_constant(FreqSet(GridShape(16, 1)), 4.0)
+
+
 class TestSearchReference:
-    """The pruned swap search against the loop that scores every candidate fully."""
+    """The batched swap search against a loop that counts each candidate alone."""
 
     # 128x1 has more outside points than max_swaps, so it takes the
-    # sampled-candidate path
+    # sampled-candidate path; the reference takes no p, so every p must
+    # find its seed's set
     @pytest.mark.parametrize("n, d", [(64, 1), (32, 1), (128, 1), (8, 2), (16, 2),
                                       (4, 3)])
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
     def test_matches_full_scoring(self, n, d, p):
         shape = GridShape(n, d)
-        kwargs = dict(shape=shape, size=6, p=p, budget=2, seed=n * d + int(4 * p),
-                      trials=16)
-        members, constant = reference_lambda_search(**kwargs)
+        kwargs = dict(shape=shape, size=6, budget=2, seed=n * d + int(4 * p))
+        members, (top, _) = reference_lambda_search(**kwargs)
         for workers in (1, 2):
-            cand = lambda_p_search(**kwargs, workers=workers)
+            cand = lambda_p_search(**kwargs, p=p, trials=16, workers=workers)
             assert cand.set.members.tolist() == members
-            assert cand.empirical_constant == constant
+            assert representation_counts(shape, cand.set.members[None]).max() == top
 
     @pytest.mark.parametrize("trials", [0, 2, 64])
     def test_matches_full_scoring_at_default_size(self, trials):
-        # fewer probes than LEAD_PROBES leave none for the second stage
-        kwargs = dict(shape=GridShape(64, 1), size=8, p=4.0, budget=2, seed=trials,
-                      trials=trials)
-        members, constant = reference_lambda_search(**kwargs)
-        cand = lambda_p_search(**kwargs)
+        # the probe count sets only the empirical constant, drawn from the
+        # stream after the restarts'
+        kwargs = dict(shape=GridShape(64, 1), size=8, budget=2, seed=trials)
+        members, _ = reference_lambda_search(**kwargs)
+        cand = lambda_p_search(**kwargs, p=4.0, trials=trials)
         assert cand.set.members.tolist() == members
-        assert cand.empirical_constant == constant
-
-    @pytest.mark.parametrize("n, d", [(64, 1), (8, 2), (4, 3)])
-    def test_probe_max_ratio_stop_contract(self, n, d):
-        shape = GridShape(n, d)
-        rng = np.random.default_rng(n + d)
-        members = np.sort(np.stack([rng.choice(shape.size, 7, replace=False)
-                                    for _ in range(40)]), axis=1)
-        probes = np.vstack([np.ones((1, 7)), rng.standard_normal((24, 7))])
-        lead = rng.choice(25, constructions.LEAD_PROBES, replace=False)
-        full = reference_probe_max_ratio(shape, 4.0, members, probes)
-        stop = float(np.median(full))
-        cut = constructions._probe_max_ratio(shape, 4.0, members, probes, lead, stop)
-        below = full < stop
-        assert below.any() and not below.all()
-        assert cut[below].tolist() == full[below].tolist()
-        assert (cut[~below] >= stop).all()
-        unbounded = constructions._probe_max_ratio(shape, 4.0, members, probes, lead,
-                                                   math.inf)
-        assert unbounded.tolist() == full.tolist()
+        assert cand.empirical_constant == empirical_lambda_constant(
+            cand.set, 4.0, trials, spawn_generators(trials, 3)[2])
