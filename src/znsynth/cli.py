@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import math
 import os
 import sys
@@ -52,8 +51,10 @@ from .recovery import brute_force_recover, random_instance, recover
 from .rng import run_indexed, spawn_generators
 from .serialization import (
     atomic_write_text,
+    encode_extended,
     format_cell,
     load_json,
+    print_json,
     problem_from_doc,
     problem_to_doc,
     render_csv,
@@ -200,7 +201,7 @@ def _emit_json(ns: argparse.Namespace, result: dict) -> None:
         write_json(ns.out, doc)
         print(f"wrote {ns.out}")
     else:
-        print(json.dumps(doc, indent=2))
+        print_json(doc)
 
 
 def _emit_table(ns: argparse.Namespace, columns: list[str], rows: list[list]) -> None:
@@ -316,7 +317,7 @@ def cmd_phi_stats(ns) -> int:
                     "bound": report.bound,
                     "mc_slack": report.mc_slack,
                     "trials": report.trials,
-                    "threshold": report.threshold,
+                    "threshold": encode_extended(report.threshold),
                     "passed": report.passed,
                 },
             )
@@ -687,6 +688,9 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         check_flags(ns)
+        # numpy takes no negative seed, and orjson no integer of 2^64 or more
+        if not 0 <= ns.seed < 2**64:
+            raise ValueError(f"--seed (or ${SEED_ENV}) must be in [0, 2^64), got {ns.seed}")
         return ns.func(ns)
     except (BoundViolation, SamplingBudgetExceeded) as exc:
         print(f"check failed: {exc}", file=sys.stderr)

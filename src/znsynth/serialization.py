@@ -17,10 +17,13 @@ Recovery problems::
 Inequality reports serialize as
 {"which", "p", "lhs", "rhs", "slack_ratio", "grid": {"N", "d"}, "set_size"}.
 
-Documents are written compactly on one line (``python -m json.tool f.json``
-pretty-prints one) through the stdlib's C encoder.  Floats are written in
-their shortest round-trip form, so values read back bit for bit.  Infinite
-numbers (p = inf, infinite slack ratios) are written as the string "inf".
+JSON is encoded here only, by orjson: one compact line per file (``python
+-m json.tool f.json`` pretty-prints one), two-space indents on stdout.
+Floats are written in their shortest round-trip form (``1e16``, ``0.00001``
+where the stdlib writes ``1e+16``, ``1e-05``), so the stdlib's ``json``
+reads values back bit for bit.  orjson writes NaN and infinities as null,
+so infinite numbers (p = inf, infinite slack ratios) go through
+``encode_extended`` as the string "inf"; integers must lie in [-2^63, 2^64).
 CSV files open with "# key=value" header lines carrying the resolved
 configuration; the body below the header is deterministic for a fixed
 config and seed.
@@ -35,6 +38,7 @@ import tempfile
 from typing import Any
 
 import numpy as np
+import orjson
 
 from .fourier import FreqSet, Signal, Spectrum
 from .inequalities import InequalityReport
@@ -42,7 +46,8 @@ from .lattice import GridShape
 from .recovery import RecoveryProblem
 
 
-def _encode_extended(x: float):
+def encode_extended(x: float):
+    """x as a document value: infinities become the strings "inf" and "-inf"."""
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return float(x)
@@ -63,13 +68,14 @@ def _indices(entries, field: str) -> list[int]:
     return indices
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the target directory plus rename."""
+def atomic_write_text(path: str, text: str | bytes) -> None:
+    """Write via a temp file in the target directory plus rename; str as UTF-8."""
+    data = text.encode() if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -78,9 +84,13 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_json(path: str, doc: dict) -> None:
-    # Only the one-shot json.dumps without indent runs the C encoder;
-    # indent, or json.dump to a file, falls back to the pure-Python one.
-    atomic_write_text(path, json.dumps(doc, separators=(",", ":")) + "\n")
+    """doc as one compact line of JSON, written atomically."""
+    atomic_write_text(path, orjson.dumps(doc, option=orjson.OPT_APPEND_NEWLINE))
+
+
+def print_json(doc: dict) -> None:
+    """doc as JSON indented by two spaces, on stdout."""
+    print(orjson.dumps(doc, option=orjson.OPT_INDENT_2).decode())
 
 
 def _values_to_pairs(values: np.ndarray) -> list[list[float]]:
@@ -137,10 +147,10 @@ def set_from_doc(doc: dict) -> FreqSet:
 def report_to_doc(report: InequalityReport) -> dict:
     return {
         "which": report.which,
-        "p": _encode_extended(report.p),
+        "p": encode_extended(report.p),
         "lhs": report.lhs,
         "rhs": report.rhs,
-        "slack_ratio": _encode_extended(report.slack_ratio),
+        "slack_ratio": encode_extended(report.slack_ratio),
         "grid": {"N": report.grid.modulus, "d": report.grid.dim},
         "set_size": report.set_size,
     }

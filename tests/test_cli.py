@@ -80,6 +80,8 @@ class TestPipelines:
         assert run(["verify", "--which", "indicator-dual", "--p", "inf",
                     "--signal-file", str(f), "--set-file", str(s),
                     "--out", str(r)]) == 0
+        # orjson writes a float infinity as null; the report writes the string
+        assert '"p":"inf"' in r.read_text()
         assert load_json(str(r))["result"]["p"] == "inf"
 
     def test_transform_round_trip(self, tmp_path):
@@ -397,6 +399,29 @@ class TestErrorPaths:
         assert _exit_code(["phi-stats", "--grid", "8x1", "--size", "2",
                            "--seed", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
+
+    LAMBDA_ARGS = ["lambda-search", "--grid", "16x1", "--size", "4", "--p", "4"]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_seed_out_of_range_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, seed, source
+    ):
+        out = tmp_path / "l.json"
+        args = self.LAMBDA_ARGS + ["--out", str(out)]
+        if source == "env":
+            monkeypatch.setenv("ZNSYNTH_SEED", seed)
+        else:
+            args += ["--seed", seed]
+        assert run(args) == 2
+        assert (f"--seed (or $ZNSYNTH_SEED) must be in [0, 2^64), got {seed}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_largest_seed_is_written_back(self, tmp_path):
+        out = tmp_path / "l.json"
+        assert run(self.LAMBDA_ARGS + ["--seed", str(2**64 - 1), "--out", str(out)]) == 0
+        assert load_json(str(out))["config"]["seed"] == 2**64 - 1
 
     @pytest.mark.parametrize("direction, domain", [
         ("forward", "frequency"), ("inverse", "space"),

@@ -157,6 +157,24 @@ class TestHayesTail:
     def test_golden_empirical(self, args, workers, expected):
         assert hayes_tail_experiment(*args, workers=workers).empirical == expected
 
+    # On 64x1 with |S| = 16 the sum at m = 32 is #even - #odd members, an
+    # integer, so a = 8 (gate 4's 16^0.75 and the montecarlo bench's
+    # --tail-a) ties exactly with attainable peaks.  Such a set is a hit only
+    # while the FFT returns that integer exactly; a transform that rounds the
+    # bin one ulp low fails here before it shifts gate 9 or the golden pins.
+    TIED_SEED = 33
+    TIED_SET = [1, 3, 4, 5, 7, 9, 13, 18, 19, 27, 35, 41, 43, 51, 54, 58]
+
+    def test_peak_tied_with_the_threshold_is_a_hit(self):
+        shape = GridShape(64, 1)
+        stat = phi(FreqSet.from_indices(shape, self.TIED_SET))
+        assert stat.phi == 8.0 and stat.arg_max == (32,)
+        # the set is the one trial of a 1-trial run on TIED_SEED
+        keys = spawn_generators(self.TIED_SEED, 1)[0].random(shape.size)
+        assert sorted(np.argsort(keys)[:16].tolist()) == self.TIED_SET
+        report = hayes_tail_experiment(shape, 16, a=8.0, trials=1, seed=self.TIED_SEED)
+        assert report.empirical == 1.0
+
     def test_nan_threshold_rejected(self):
         # every comparison with NaN is false, so no trial would count as a hit
         with pytest.raises(ValueError, match="nan"):

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import shlex
 
 import numpy as np
 import pytest
 
+from znsynth import cli
 from znsynth.fourier import FreqSet, Signal, Spectrum, forward
 from znsynth.inequalities import verify_indicator_bound
 from znsynth.lattice import GridShape
@@ -46,14 +48,16 @@ class TestSignalDocs:
         assert np.array_equal(back.values, F.values)
 
     # Extremes of the float64 range: signed zero, the smallest subnormal
-    # and the largest finite double.
+    # and the largest finite double; then floats whose text differs between
+    # encoders (orjson writes 1e16 and 0.00001, the stdlib 1e+16 and 1e-05).
     EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, -5e-324,
-                   -1.7976931348623157e308, 0.1, 1 / 3, 0.0]
+                   -1.7976931348623157e308, 0.1, 1 / 3, 0.0,
+                   1e16, 1e-05, 1e22, 1.2345678901234568e+17]
 
     def _edge_signal(self):
         values = np.array(self.EDGE_VALUES, dtype=np.complex128)
         values.imag = self.EDGE_VALUES[::-1]
-        return Signal(GridShape(8, 1), values)
+        return Signal(GridShape(len(self.EDGE_VALUES), 1), values)
 
     def test_values_match_per_element_pairs(self):
         f = self._edge_signal()
@@ -68,6 +72,13 @@ class TestSignalDocs:
         write_json(str(path), signal_to_doc(f))
         back = signal_from_doc(load_json(str(path)))
         assert back.values.tobytes() == f.values.tobytes()
+
+    def test_exponents_are_written_without_plus_or_padding(self, tmp_path):
+        path = tmp_path / "f.json"
+        write_json(str(path), signal_to_doc(self._edge_signal()))
+        text = path.read_text()
+        assert "[1e16,-5e-324]" in text and "[0.00001," in text
+        assert "[1e22,5e-324]" in text and "[1.2345678901234568e17,-0.0]" in text
 
     def test_written_document_is_one_line(self, tmp_path):
         path = tmp_path / "f.json"
@@ -169,3 +180,55 @@ class TestCsv:
         assert path.read_text() == "hello\n"
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
+
+
+# Command lines that write every kind of document: a set, a signal, a
+# spectrum, a report, a problem, and command results holding bools, integers
+# up to 2^64 - 1 and "inf".  Each group runs in one directory {d}.
+WRITING_COMMANDS = {
+    "set-signal-spectrum-report": [
+        "construct --kind random --grid 8x2 --size 5 --seed 3 --out {d}/s.json",
+        "construct --kind normalized-signal --set-file {d}/s.json --out {d}/f.json",
+        "transform --input {d}/f.json --output {d}/F.json",
+        "verify --which indicator-dual --p inf --signal-file {d}/f.json "
+        "--set-file {d}/s.json --out {d}/r.json",
+    ],
+    "problem-result": [
+        "recover --grid 8x1 --hidden-size 2 --seed 7 --problem-out {d}/p.json "
+        "--out {d}/x.json",
+    ],
+    "results": [
+        "phi-stats --grid 16x1 --size 4 --trials 8 --tail-a inf --format json "
+        "--out {d}/t.json",
+        "lambda-search --grid 16x1 --size 4 --p 4 --seed 18446744073709551615 "
+        "--out {d}/l.json",
+        "sweep --alpha 0.5 --grid-range 8..16 --format json --out {d}/w.json",
+    ],
+}
+
+
+def _null_paths(x, path=()):
+    if x is None:
+        return [path]
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    return [q for k, v in items for q in _null_paths(v, path + (k,))]
+
+
+@pytest.mark.parametrize("group", list(WRITING_COMMANDS))
+def test_written_documents_read_as_the_stdlib_encodes_them(tmp_path, monkeypatch, group):
+    written = []
+
+    def spy(path, doc):
+        written.append((path, doc))
+        write_json(path, doc)
+
+    monkeypatch.setattr(cli, "write_json", spy)
+    for line in WRITING_COMMANDS[group]:
+        assert cli.main(shlex.split(line.format(d=tmp_path))) == 0
+    assert sorted(p for p, _ in written) == sorted(map(str, tmp_path.glob("*.json")))
+    for path, doc in written:
+        with open(path) as fh:
+            assert json.loads(fh.read()) == json.loads(json.dumps(doc))
+        # orjson writes NaN and infinities as null: only hidden entries may be null
+        hidden = doc.get("hidden", []) if "observed" in doc else []
+        assert _null_paths(load_json(path)) == [("observed", m) for m in hidden]
