@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .constructions import (
-    SubspaceSpec,
     hayes_tail_experiment,
     lambda_constant_check,
     lambda_p_search,
@@ -262,7 +261,7 @@ def cmd_construct(ns) -> int:
         write_json(ns.out, set_to_doc(S))
         print(f"wrote {ns.out} (|S| = {S.size})")
     elif ns.kind == "subspace":
-        H, H_perp = subspace_pair(ns.grid, SubspaceSpec(axes=ns.axes))
+        H, H_perp = subspace_pair(ns.grid, ns.axes)
         write_json(ns.out, set_to_doc(H))
         print(f"wrote {ns.out} (|H| = {H.size})")
         if ns.perp_out:
@@ -457,15 +456,16 @@ def _append_recovery_row(ns, problem, result, exact) -> None:
 
 def cmd_sweep(ns) -> int:
     dim = ns.dim
-    sizes = ns.grid_range
-    if ns.alpha <= 0:
-        raise ValueError(f"--alpha must be positive, got {ns.alpha}")
+    shapes = [GridShape(modulus=n, dim=dim) for n in ns.grid_range]
+    # |S| = ceil(N^alpha) fits the N^d grid exactly when alpha <= d
+    if not 0 < ns.alpha <= dim:
+        raise ValueError(f"--alpha must be positive and <= --dim {dim}, got {ns.alpha}")
     p = 2.0 * dim / ns.alpha if ns.p_mode == "critical" else ns.p
-    rngs = spawn_generators(ns.seed, len(sizes))
+    rngs = spawn_generators(ns.seed, len(shapes))
 
     def one(i: int) -> list:
-        n = sizes[i]
-        shape = GridShape(modulus=n, dim=dim)
+        shape = shapes[i]
+        n = shape.modulus
         size = math.ceil(n**ns.alpha)
         S = random_set(shape, size, rngs[i])
         threshold = vanishing_threshold(size, shape, p)
@@ -473,7 +473,7 @@ def cmd_sweep(ns) -> int:
         bound = threshold * lpn
         return [n, dim, size, p, threshold, sup, lpn, bound, sup <= bound * (1 + 1e-9)]
 
-    rows = run_indexed(one, len(sizes), workers=ns.workers)
+    rows = run_indexed(one, len(shapes), workers=ns.workers)
     _emit_table(
         ns,
         ["N", "d", "size", "p", "threshold", "sup_norm", "lp_norm", "bound", "pass"],

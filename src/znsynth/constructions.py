@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -213,20 +214,11 @@ def indicator_signal_norm_bound(S: FreqSet, p: float) -> float:
     return bound
 
 
-@dataclass(frozen=True)
-class SubspaceSpec:
-    """A coordinate subgroup: the axes (0-based) left free; the rest pinned to 0."""
-
-    axes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(sorted(set(self.axes))))
-
-
-def subspace_pair(shape: GridShape, spec: SubspaceSpec) -> tuple[FreqSet, FreqSet]:
+def subspace_pair(shape: GridShape, axes: Sequence[int]) -> tuple[FreqSet, FreqSet]:
     """The coordinate subgroup H and its annihilator H_perp.
 
-    H = {x : x_j = 0 for j not in axes} has N^K points; H_perp =
+    axes lists the free coordinates (0-based, repeats ignored), so H =
+    {x : x_j = 0 for j not in axes} has N^K points; H_perp =
     {m : m_j = 0 for j in axes} has N^(d-K).  The transform of 1H is
     supported exactly on H_perp with constant value N^(K - d/2), so
     |supp| * |H| = N^d (the equality case of the uncertainty principle).
@@ -235,7 +227,7 @@ def subspace_pair(shape: GridShape, spec: SubspaceSpec) -> tuple[FreqSet, FreqSe
     warning naming the pair is emitted since most identities become
     trivial there.
     """
-    axes = spec.axes
+    axes = tuple(sorted(set(axes)))
     if any(j < 0 or j >= shape.dim for j in axes):
         raise ValueError(f"axes must lie in [0, {shape.dim}), got {axes}")
     k = len(axes)
@@ -309,6 +301,9 @@ def rejection_sample_small_norm(
 def _rejection_sample(shape, size, statistic, threshold, max_draws, seed, label):
     if max_draws < 1:
         raise ValueError("max_draws must be >= 1")
+    _check_size(shape, size)  # first: a size below 0 makes the flat threshold complex
+    if not threshold >= 0:  # also NaN: no draw could pass
+        raise ValueError(f"{label} threshold must be >= 0, got {threshold}")
     rng = as_generator(seed)
     best = math.inf
     for draw in range(1, max_draws + 1):
@@ -328,8 +323,8 @@ class LambdaCandidate:
     """A frequency set with its bracket on the Lambda(p) constant.
 
     empirical_constant is a lower estimate (the largest ratio over random
-    probes); certified_constant is an upper bound by theorem (see
-    certified_lambda_constant).
+    probes, capped at certified_constant); certified_constant is an upper
+    bound by theorem (see certified_lambda_constant).
     """
 
     set: FreqSet
@@ -432,7 +427,9 @@ def lambda_p_search(
     the found set is a function of (shape, size, budget, seed, max_swaps)
     only: p and `trials` set only the reported bracket, the certified
     constant of certified_lambda_constant and the empirical lower estimate
-    on `trials` probes drawn from one more spawned stream.
+    on `trials` probes drawn from one more spawned stream.  FFT rounding can
+    lift a probe ratio an ulp above an attained certificate, so the lower
+    estimate reported is min(empirical, certified).
     """
     if not 2 < p < math.inf:
         raise ValueError(f"requires finite p > 2, got {p}")
@@ -480,11 +477,13 @@ def lambda_p_search(
 
     results = run_indexed(one_restart, budget, workers=workers)
     found = FreqSet(shape, min(results, key=lambda t: t[0])[1])
+    certified = certified_lambda_constant(found, p)
+    empirical = empirical_lambda_constant(found, p, trials, rngs[budget])
     return LambdaCandidate(
         set=found,
         p=p,
-        empirical_constant=empirical_lambda_constant(found, p, trials, rngs[budget]),
-        certified_constant=certified_lambda_constant(found, p),
+        empirical_constant=min(empirical, certified),
+        certified_constant=certified,
         trials=trials,
         seed=seed,
     )

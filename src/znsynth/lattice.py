@@ -93,8 +93,6 @@ def dot(a: GridPoint, b: GridPoint, shape: GridShape) -> int:
     """
     _check_dim(a, shape)
     _check_dim(b, shape)
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     n = shape.modulus
     acc = 0
     for x, y in zip(a, b):

@@ -161,7 +161,10 @@ def _threshold(delta: float, size: int, shape: GridShape, p: float) -> float:
 
 def _levels(alphabet: Sequence[float]) -> np.ndarray:
     """The distinct values of an alphabet as floats, in increasing order."""
-    return np.asarray(sorted(set(float(a) for a in alphabet)))
+    levels = np.asarray(sorted(set(float(a) for a in alphabet)))
+    if not np.isfinite(levels).all():
+        raise ValueError(f"alphabet values must be finite, got {levels.tolist()}")
+    return levels
 
 
 def _require_known_frequency(problem: RecoveryProblem) -> None:

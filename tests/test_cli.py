@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -192,6 +193,53 @@ class TestPipelines:
         assert load_json(str(h))["members"] == [0, 4, 8, 12]
         assert load_json(str(perp))["members"] == [0, 1, 2, 3]
 
+    def test_construct_subspace_ignores_repeated_axes(self, tmp_path, capsys):
+        h = tmp_path / "h.json"
+        assert run(["construct", "--kind", "subspace", "--grid", "4x2",
+                    "--axes", "0,0", "--out", str(h)]) == 0
+        assert "(|H| = 4)" in capsys.readouterr().out
+        assert load_json(str(h))["members"] == [0, 4, 8, 12]
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("flat", ["--epsilon", "0.4"]),
+        ("small-norm", ["--p", "4", "--target", "1.3"]),
+    ])
+    def test_construct_rejection_sampler_meets_its_threshold(
+        self, tmp_path, capsys, kind, flags
+    ):
+        out = tmp_path / "s.json"
+        assert run(["construct", "--kind", kind, "--grid", "32x1", "--size", "6",
+                    "--seed", "3", "--out", str(out)] + flags) == 0
+        stdout = capsys.readouterr().out
+        assert re.fullmatch(rf"wrote {re.escape(str(out))} \(.* after \d+ draws\)\n",
+                            stdout)
+        members = load_json(str(out))["members"]
+        assert len(set(members)) == 6
+        indicator = np.zeros(32)
+        indicator[members] = 1.0
+        coefficients = np.abs(np.fft.fft(indicator))
+        if kind == "flat":
+            # phi(S): the peak over the nonzero frequencies
+            assert coefficients[1:].max() <= 6 ** 0.9 * (1 + 1e-12)
+        else:
+            # |f| of the normalized exponential average is |1S_hat| / |S|
+            norm = ((coefficients / 6) ** 4).sum() ** 0.25
+            assert norm <= 1.3 * (1 + 1e-12)
+
+    @pytest.mark.parametrize("args", [
+        "--grid 7x1 --size 1 --p 6 --budget 1 --trials 8",
+        "--grid 9x2 --size 81 --p 5",
+    ], ids=["one-element", "full-grid"])
+    def test_lambda_bracket_where_the_bound_is_attained(self, capsys, args):
+        # the probe ratios carry FFT rounding that could lift the lower
+        # estimate above the proven bound; it is capped there
+        assert run(["lambda-search"] + args.split()) == 0
+        doc = json.loads(capsys.readouterr().out)["result"]
+        assert doc["empirical_constant"] <= doc["certified_constant"]
+        assert doc["empirical_constant"] == pytest.approx(
+            doc["certified_constant"], rel=1e-12
+        )
+
     def test_recover_problem_file_by_rounding(self, tmp_path):
         # 2^13 assignments are over the enumeration limit and 2^64 over the
         # oracle's budget: the rounded descent output decodes alone
@@ -350,7 +398,8 @@ class TestErrorPaths:
         assert run(argv) == 2
         assert "tolerance must be finite and >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("alpha", ["0", "-1"])
+    # --alpha beyond --dim (1 here) would ask for more than N^d points
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf", "1e308", "1.5"])
     def test_nonpositive_alpha_is_usage_error(self, capsys, alpha):
         assert run(["sweep", "--alpha", alpha, "--grid-range", "8..16"]) == 2
         assert "--alpha must be positive" in capsys.readouterr().err
@@ -479,6 +528,18 @@ class TestErrorPaths:
         code = run(["verify", "--which", "support-size", "--p", "2",
                     "--signal-file", str(f), "--set-file", str(small)])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "flat", "--epsilon", "nan"],
+        ["--kind", "small-norm", "--target", "-1", "--max-draws", "50"],
+    ], ids=["flat-nan-epsilon", "small-norm-negative-target"])
+    def test_impossible_threshold_is_usage_error(self, tmp_path, capsys, flags):
+        # no draw could pass, so none is made
+        out = tmp_path / "s.json"
+        assert run(["construct", "--grid", "16x1", "--size", "4",
+                    "--out", str(out)] + flags) == 2
+        assert "threshold must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sampling_budget_failure_is_assertion_exit(self, tmp_path):
         # no 4-subset of Z_16 can satisfy the flat threshold
@@ -634,6 +695,19 @@ class TestNanInputs:
         assert _exit_code(["sweep", "--alpha", "0.5", "--p-mode", "fixed",
                            "--p", "nan", "--grid-range", "8..16"]) == 2
         assert "nan" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("alphabet", ["0,nan", "0,inf"])
+    def test_non_finite_alphabet(self, tmp_path, capsys, alphabet):
+        out, src = tmp_path / "r.json", tmp_path / "problem.json"
+        assert run(["recover", "--grid", "8x1", "--hidden-size", "2",
+                    "--alphabet", alphabet, "--out", str(out)]) == 2
+        assert "alphabet values must be finite" in capsys.readouterr().err
+        problem, _ = random_instance(GridShape(8, 1), 2, seed=3)
+        write_json(str(src), problem_to_doc(problem))
+        assert run(["recover", "--problem-file", str(src), "--alphabet", alphabet,
+                    "--out", str(out)]) == 2
+        assert "alphabet values must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field", ["p", "delta"])
     def test_problem_file(self, tmp_path, capsys, field):

@@ -7,7 +7,6 @@ import pytest
 
 from znsynth import constructions
 from znsynth.constructions import (
-    SubspaceSpec,
     certified_lambda_constant,
     empirical_lambda_constant,
     hayes_tail_bound,
@@ -325,18 +324,18 @@ class TestSubspacePair:
     @pytest.mark.parametrize("n", [4, 8, 9])
     def test_sizes_multiply(self, n):
         shape = GridShape(n, 2)
-        H, Hp = subspace_pair(shape, SubspaceSpec(axes=(0,)))
+        H, Hp = subspace_pair(shape, (0,))
         assert H.size == n and Hp.size == n
         assert H.size * Hp.size == shape.size
 
     def test_three_dim_split(self):
         shape = GridShape(3, 3)
-        H, Hp = subspace_pair(shape, SubspaceSpec(axes=(0, 2)))
+        H, Hp = subspace_pair(shape, (0, 2))
         assert H.size == 9 and Hp.size == 3
 
     def test_transform_constant_on_annihilator(self):
         shape = GridShape(4, 2)
-        H, Hp = subspace_pair(shape, SubspaceSpec(axes=(0,)))
+        H, Hp = subspace_pair(shape, (0,))
         g = indicator_spectrum(H)
         on = g.values[Hp.members]
         assert np.allclose(on, 1.0, atol=1e-12)  # N^(K - d/2) = 1 here
@@ -346,13 +345,13 @@ class TestSubspacePair:
     def test_uncertainty_equality(self):
         for n, axes in ((4, (0,)), (8, (1,)), (9, (0,))):
             shape = GridShape(n, 2)
-            H, _ = subspace_pair(shape, SubspaceSpec(axes=axes))
+            H, _ = subspace_pair(shape, axes)
             supp = support(forward(indicator_spectrum(H)))
             assert supp.size * H.size == shape.size
 
     def test_equality_at_every_exponent(self):
         shape = GridShape(8, 2)
-        H, Hp = subspace_pair(shape, SubspaceSpec(axes=(1,)))
+        H, Hp = subspace_pair(shape, (1,))
         for X in (H, Hp):
             f = indicator_spectrum(X)
             for p in (1, 2, 4, math.inf):
@@ -364,18 +363,26 @@ class TestSubspacePair:
         shape = GridShape(4, 2)
         with pytest.warns(UserWarning, match=re.escape("K = 0 on 4x2; pair is "
                                                        "({0}, full grid)")):
-            H, Hp = subspace_pair(shape, SubspaceSpec(axes=()))
+            H, Hp = subspace_pair(shape, ())
         assert H.members.tolist() == [0]
         assert Hp.size == shape.size
         with pytest.warns(UserWarning, match=re.escape("K = 2 on 4x2; pair is "
                                                        "(full grid, {0})")):
-            H, Hp = subspace_pair(shape, SubspaceSpec(axes=(0, 1)))
+            H, Hp = subspace_pair(shape, (0, 1))
         assert H.size == shape.size
         assert Hp.members.tolist() == [0]
 
+    def test_axes_in_any_order_with_repeats(self):
+        shape = GridShape(3, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # K = 2 of 3 is not degenerate
+            got = subspace_pair(shape, (2, 0, 2))
+        want = subspace_pair(shape, (0, 2))
+        assert [x.members.tolist() for x in got] == [x.members.tolist() for x in want]
+
     def test_bad_axes(self):
         with pytest.raises(ValueError):
-            subspace_pair(GridShape(4, 2), SubspaceSpec(axes=(2,)))
+            subspace_pair(GridShape(4, 2), (2,))
 
 
 class TestRejectionSampling:
@@ -510,7 +517,7 @@ class TestLambdaMachinery:
         # of H with value 1, so ||1S_hat||_4 = 4^(1/4) and the check needs
         # exactly C >= 2 * 4^(-1/4) = sqrt(2)
         shape = GridShape(4, 2)
-        _, Hp = subspace_pair(shape, SubspaceSpec(axes=(0,)))
+        _, Hp = subspace_pair(shape, (0,))
         assert lp_norm(indicator_spectrum(Hp), 4.0) == pytest.approx(4 ** 0.25)
         needed = 2 * 4 ** (-1 / 4)
         assert lambda_constant_check(Hp, 4.0, needed * 1.000001)
