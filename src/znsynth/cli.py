@@ -35,7 +35,6 @@ from .errors import (
     EnumerationBudgetExceeded,
     RecoveryError,
     SamplingBudgetExceeded,
-    SupportViolation,
 )
 from .fourier import Signal, Spectrum, forward, inverse
 from .inequalities import (
@@ -695,15 +694,11 @@ def main(argv=None) -> int:
     except (BoundViolation, SamplingBudgetExceeded) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    except (
-        ValueError,
-        KeyError,
-        FileNotFoundError,
-        SupportViolation,
-        RecoveryError,
-        EnumerationBudgetExceeded,
-    ) as exc:
+    except (ValueError, KeyError, OSError, RecoveryError, EnumerationBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

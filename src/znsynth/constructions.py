@@ -196,24 +196,6 @@ def normalized_indicator_norms(S: FreqSet, p: float) -> tuple[float, float]:
     return top, top * float(mags.sum() + twice.sum()) ** (1.0 / p)
 
 
-def indicator_signal_norm_bound(S: FreqSet, p: float) -> float:
-    """Bound ||f||_p <= (N^d * (phi(S)/|S|)^p + 1)^(1/p) for the signal above.
-
-    f(0) = 1 contributes the +1; every other value is at most phi(S)/|S|.
-    The measured norm is checked against the bound before returning.
-    """
-    if p == math.inf or p < 1:
-        raise ValueError(f"requires finite p >= 1, got {p}")
-    stat = phi(S)
-    bound = (S.shape.size * (stat.phi / S.size) ** p + 1.0) ** (1.0 / p)
-    measured = normalized_indicator_norms(S, p)[1]
-    if not bound_holds(measured, bound):
-        raise BoundViolation(
-            f"indicator-signal norm bound violated: measured {measured!r} > {bound!r}"
-        )
-    return bound
-
-
 def subspace_pair(shape: GridShape, axes: Sequence[int]) -> tuple[FreqSet, FreqSet]:
     """The coordinate subgroup H and its annihilator H_perp.
 
@@ -405,6 +387,13 @@ def empirical_lambda_constant(S: FreqSet, p: float, trials: int, seed) -> float:
     return float(ratios.max())
 
 
+# Swap candidates per position in the Lambda(p) search.  A restart samples
+# this many from its own stream whenever more points lie outside the set,
+# so this constant is part of the seed contract: changing it changes the
+# sets found on such grids.
+MAX_SWAPS = 64
+
+
 def lambda_p_search(
     shape: GridShape,
     size: int,
@@ -412,20 +401,19 @@ def lambda_p_search(
     budget: int,
     seed: int,
     trials: int = 64,
-    max_swaps: int = 64,
     workers: int = 1,
 ) -> LambdaCandidate:
     """Random-restart greedy swap search for a set with small representation counts.
 
     Each of `budget` restarts draws a start set from its own spawned
     stream, then hill-descends by single-element swaps (best replacement
-    per position, at most `max_swaps` sampled candidates per position, all
+    per position, at most MAX_SWAPS sampled candidates per position, all
     counted in one batched call) until no swap improves.  A set is scored
     by the key (max_y r_S(y), sum_y r_S(y)^2), the second term being the
     additive energy, and a swap is taken only on a strictly smaller key.
     The best restart wins; ties break toward the lower restart index, so
-    the found set is a function of (shape, size, budget, seed, max_swaps)
-    only: p and `trials` set only the reported bracket, the certified
+    the found set is a function of (shape, size, budget, seed) only: p
+    and `trials` set only the reported bracket, the certified
     constant of certified_lambda_constant and the empirical lower estimate
     on `trials` probes drawn from one more spawned stream.  FFT rounding can
     lift a probe ratio an ulp above an attained certificate, so the lower
@@ -438,8 +426,6 @@ def lambda_p_search(
         raise ValueError("budget must be >= 1")
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    if max_swaps < 0:
-        raise ValueError("max_swaps must be >= 0")
     rngs = spawn_generators(seed, budget + 1)
 
     def keys(members: np.ndarray) -> np.ndarray:
@@ -451,15 +437,14 @@ def lambda_p_search(
         rng = rngs[r]
         members = np.sort(rng.choice(shape.size, size=size, replace=False))
         best = tuple(keys(members[None])[:, 0].tolist())
-        # no candidates when the grid is full or max_swaps is 0
-        improved = min(max_swaps, shape.size - size) > 0
+        improved = size < shape.size  # no candidates when the grid is full
         while improved:
             improved = False
             for pos in range(size):
                 outside = np.setdiff1d(np.arange(shape.size), members)
-                if outside.size > max_swaps:
+                if outside.size > MAX_SWAPS:
                     outside = np.sort(
-                        rng.choice(outside, size=max_swaps, replace=False)
+                        rng.choice(outside, size=MAX_SWAPS, replace=False)
                     )
                 trial_members = np.repeat(members[None], outside.size, axis=0)
                 trial_members[:, pos] = outside

@@ -1,4 +1,4 @@
-"""Unitary discrete Fourier transform, inversion, and convolution on Z_N^d.
+"""Unitary discrete Fourier transform and inversion on Z_N^d.
 
 Conventions, used everywhere in this package:
 
@@ -110,25 +110,12 @@ class FreqSet:
         m[self.members] = True
         return m
 
-    def complement(self) -> "FreqSet":
-        return FreqSet(self.shape, np.setdiff1d(np.arange(self.shape.size), self.members))
-
-    def negated(self) -> "FreqSet":
-        """The set -S."""
-        return FreqSet(self.shape, negate_indices(self.members, self.shape))
-
     def symmetrized(self) -> "FreqSet":
         """S united with -S."""
         return FreqSet(
             self.shape,
             np.union1d(self.members, negate_indices(self.members, self.shape)),
         )
-
-    def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.members, self.negated().members))
-
-    def contains(self, other: "FreqSet") -> bool:
-        return bool(np.all(np.isin(other.members, self.members)))
 
 
 def forward(f: Signal) -> Spectrum:
@@ -155,21 +142,11 @@ def indicator_spectrum(S: FreqSet) -> Signal:
     return Signal(S.shape, out.reshape(-1))
 
 
-def convolve(f: Signal, g: Signal) -> Signal:
-    """Cyclic convolution (f*g)(x) = sum_y f(y) g(x-y)."""
-    if f.shape != g.shape:
-        raise ValueError(f"shape mismatch: {f.shape} vs {g.shape}")
-    out = np.fft.ifftn(np.fft.fftn(f.grid()) * np.fft.fftn(g.grid()))
-    return Signal(f.shape, out.reshape(-1))
+def support(F: Spectrum) -> FreqSet:
+    """Indices where |F| exceeds SUPPORT_RTOL * max(1, ||F||_inf).
 
-
-def support(F: Spectrum, rtol: float = SUPPORT_RTOL) -> FreqSet:
-    """Indices where |F| exceeds rtol * max(1, ||F||_inf).
-
-    The cutoff exists only because floating point blurs exact zeros; rtol
-    is exposed for callers that need a different notion of "numerically
-    nonzero".
+    The cutoff exists only because floating point blurs exact zeros.
     """
     mags = np.abs(F.values)
-    cutoff = rtol * max(1.0, float(mags.max(initial=0.0)))
+    cutoff = SUPPORT_RTOL * max(1.0, float(mags.max(initial=0.0)))
     return FreqSet(F.shape, np.nonzero(mags > cutoff)[0])

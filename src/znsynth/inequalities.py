@@ -156,25 +156,3 @@ def vanishing_threshold(set_size: int, shape: GridShape, p: float) -> float:
         raise ValueError("set size must be positive")
     return math.sqrt(set_size / shape.modulus ** (2.0 * shape.dim / p))
 
-
-def indicator_dual_norm_bound(S: FreqSet, p: float) -> float:
-    """Bound ||1S_hat||_p' <= |S|^(1/2) * N^(d/p' - d/2), valid for p' <= 2.
-
-    Combines Plancherel (||1S_hat||_2 = |S|^(1/2)) with norm comparison on
-    counting measure; requires p >= 2 so that p' <= 2.  The measured norm
-    is checked against the bound before returning.
-    """
-    q = dual_exponent(p)
-    if q > 2:
-        raise ValueError(
-            f"bound requires dual exponent <= 2 (p >= 2), got p' = {q}"
-        )
-    shape = S.shape
-    n, d = shape.modulus, shape.dim
-    bound = math.sqrt(S.size) * n ** (d / q - d / 2)
-    measured = lp_norm(indicator_spectrum(S), q)
-    if not bound_holds(measured, bound):
-        raise BoundViolation(
-            f"indicator dual-norm bound violated: measured {measured!r} > {bound!r}"
-        )
-    return bound

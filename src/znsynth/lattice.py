@@ -1,4 +1,4 @@
-"""Index arithmetic, dot products, and additive characters on Z_N^d.
+"""The group Z_N^d and the row-major linear indexing of its points.
 
 Points of the group are d-tuples of residues modulo N.  Every point also
 has a linear index in [0, N^d), assigned row-major over the coordinates
@@ -52,7 +52,8 @@ class GridShape:
 
 def encode(p: GridPoint, shape: GridShape) -> int:
     """Row-major linear index of a point (last coordinate fastest)."""
-    _check_dim(p, shape)
+    if len(p) != shape.dim:
+        raise ValueError(f"point has {len(p)} coordinates, expected {shape.dim} for {shape}")
     n = shape.modulus
     idx = 0
     for c in p:
@@ -84,33 +85,3 @@ def negate_indices(indices: np.ndarray, shape: GridShape) -> np.ndarray:
     neg = (-coords) % shape.modulus
     return np.ravel_multi_index(tuple(neg.T), shape.axes)
 
-
-def dot(a: GridPoint, b: GridPoint, shape: GridShape) -> int:
-    """(sum_j a_j * b_j) mod N.
-
-    Each term is reduced modulo N before accumulation, so no intermediate
-    value ever exceeds N^2 regardless of the input magnitudes.
-    """
-    _check_dim(a, shape)
-    _check_dim(b, shape)
-    n = shape.modulus
-    acc = 0
-    for x, y in zip(a, b):
-        acc = (acc + (int(x) % n) * (int(y) % n)) % n
-    return acc
-
-
-def character(a: GridPoint, b: GridPoint, shape: GridShape) -> complex:
-    """The additive character e^(-2*pi*i * (a.b) / N).
-
-    This is the kernel of the forward transform; the inverse direction
-    uses the complex conjugate.
-    """
-    return np.exp(-2j * np.pi * dot(a, b, shape) / shape.modulus)
-
-
-def _check_dim(p: GridPoint, shape: GridShape) -> None:
-    if len(p) != shape.dim:
-        raise ValueError(
-            f"point has {len(p)} coordinates, expected {shape.dim} for {shape}"
-        )

@@ -71,8 +71,10 @@ def _indices(entries, field: str) -> list[int]:
 def atomic_write_text(path: str, text: str | bytes) -> None:
     """Write via a temp file in the target directory plus rename; str as UTF-8."""
     data = text.encode() if isinstance(text, str) else text
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    except OSError as exc:  # mkstemp names its temp file, not the path asked for
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -592,6 +592,26 @@ class TestErrorPaths:
                     "--p", "2", "--signal-file", str(f),
                     "--set-file", str(s)]) == 2
 
+    def test_directory_as_input_is_usage_error(self, tmp_path, capsys):
+        assert run(["transform", "--input", str(tmp_path),
+                    "--output", str(tmp_path / "F.json")]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_missing_output_directory_names_the_output(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "s.json"
+        assert run(["construct", "--kind", "random", "--grid", "8x1", "--size", "3",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+    def test_out_of_memory_is_usage_error(self, monkeypatch, capsys):
+        def exhausted(S, p):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr(cli, "normalized_indicator_norms", exhausted)
+        assert run(["sweep", "--alpha", "0.5", "--grid-range", "8..16"]) == 2
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 8.00 GiB\n"
+
 
 def test_readme_command_lines_pass_the_flag_check():
     readme = (Path(__file__).parents[1] / "README.md").read_text()

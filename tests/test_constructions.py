@@ -11,7 +11,6 @@ from znsynth.constructions import (
     empirical_lambda_constant,
     hayes_tail_bound,
     hayes_tail_experiment,
-    indicator_signal_norm_bound,
     lambda_constant_check,
     lambda_p_search,
     normalized_indicator_norms,
@@ -25,7 +24,7 @@ from znsynth.constructions import (
 )
 from znsynth.errors import SamplingBudgetExceeded
 from znsynth.fourier import FreqSet, forward, indicator_spectrum, support
-from znsynth.inequalities import dual_exponent, lp_norm, verify_indicator_bound
+from znsynth.inequalities import bound_holds, dual_exponent, lp_norm, verify_indicator_bound
 from znsynth.lattice import GridShape, encode, negate_indices
 from znsynth.rng import spawn_generators
 
@@ -110,7 +109,8 @@ class TestPhi:
             S = random_set(shape, int(rng.integers(1, 16)), seed=rng)
             if S.size == shape.size:
                 continue
-            assert phi(S.complement()).phi == pytest.approx(phi(S).phi, abs=1e-9)
+            rest = FreqSet(shape, np.setdiff1d(np.arange(shape.size), S.members))
+            assert phi(rest).phi == pytest.approx(phi(S).phi, abs=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -300,24 +300,33 @@ class TestNormalizedIndicatorNorms:
 
 
 class TestIndicatorSignalNormBound:
+    """||f||_p <= (N^d (phi(S)/|S|)^p + 1)^(1/p) for f = normalized_indicator_signal(S).
+
+    f(0) = 1 contributes the +1; every other value is at most phi(S)/|S|.
+    """
+
+    @staticmethod
+    def bound(S, p):
+        return (S.shape.size * (phi(S).phi / S.size) ** p + 1.0) ** (1.0 / p)
+
     def test_full_grid_is_tight(self):
-        shape = GridShape(8, 1)
-        bound = indicator_signal_norm_bound(FreqSet.full(shape), 3)
-        assert bound == pytest.approx(1.0, rel=1e-9)
+        S = FreqSet.full(GridShape(8, 1))
+        assert self.bound(S, 3) == pytest.approx(1.0, rel=1e-9)
+        assert normalized_indicator_norms(S, 3)[1] == pytest.approx(1.0, rel=1e-9)
 
     def test_singleton(self):
         shape = GridShape(8, 1)
         S = FreqSet.from_indices(shape, [3])
         f = normalized_indicator_signal(S)
         assert lp_norm(f, 2) == pytest.approx(8 ** (1 / 2), rel=1e-12)
-        assert indicator_signal_norm_bound(S, 2) >= 8 ** (1 / 2)
+        assert self.bound(S, 2) >= 8 ** (1 / 2)
 
     def test_random_sets_honor_bound(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             shape = GridShape(int(rng.integers(4, 33)), 1)
             S = random_set(shape, int(rng.integers(1, shape.size + 1)), seed=rng)
-            indicator_signal_norm_bound(S, 2.5)  # raises on violation
+            assert bound_holds(normalized_indicator_norms(S, 2.5)[1], self.bound(S, 2.5))
 
 
 class TestSubspacePair:
@@ -490,17 +499,12 @@ class TestLambdaMachinery:
         assert cand.empirical_constant == constant
 
     def test_search_without_swaps_returns_a_start_set(self):
-        # with no candidates each restart keeps its start set; the lowest
-        # key among them wins
-        shape = GridShape(64, 1)
-        cand = lambda_p_search(shape, 8, 4.0, budget=3, seed=7, max_swaps=0)
-        starts = [np.sort(g.choice(shape.size, size=8, replace=False)).tolist()
-                  for g in spawn_generators(7, 3)]
-        assert cand.set.members.tolist() == [3, 12, 17, 36, 39, 46, 49, 55]
-        assert cand.set.members.tolist() in starts
-        assert cand.empirical_constant == 1.2289754866144895
-        with pytest.raises(ValueError):
-            lambda_p_search(shape, 8, 4.0, budget=3, seed=7, max_swaps=-1)
+        # a set filling the grid leaves no swap candidates, so each restart
+        # keeps its start set, the whole grid, where r_S(y) = N^d everywhere
+        for shape in (GridShape(8, 1), GridShape(3, 2)):
+            cand = lambda_p_search(shape, shape.size, 4.0, budget=3, seed=7)
+            assert cand.set.members.tolist() == list(range(shape.size))
+            assert cand.certified_constant == shape.size ** 0.25
 
     def test_certified_constant_passes_indicator_check(self):
         cand = lambda_p_search(GridShape(32, 1), 6, 4.0, budget=2, seed=5, trials=32)
@@ -586,7 +590,7 @@ class TestRepresentationCounts:
 class TestSearchReference:
     """The batched swap search against a loop that counts each candidate alone."""
 
-    # 128x1 has more outside points than max_swaps, so it takes the
+    # 128x1 has more outside points than MAX_SWAPS, so it takes the
     # sampled-candidate path; the reference takes no p, so every p must
     # find its seed's set
     @pytest.mark.parametrize("n, d", [(64, 1), (32, 1), (128, 1), (8, 2), (16, 2),

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from znsynth.fourier import (
+    SUPPORT_RTOL,
     FreqSet,
     Signal,
     Spectrum,
-    convolve,
     forward,
     indicator_spectrum,
     inverse,
     support,
 )
 from znsynth.inequalities import lp_norm
-from znsynth.lattice import GridShape, encode
+from znsynth.lattice import GridShape, encode, negate_indices
 
 from helpers import (
     convolve_oracle,
@@ -153,40 +153,41 @@ class TestIndicatorSpectrum:
 
 
 class TestConvolve:
+    """The direct-sum convolution oracle, and the transform's convolution theorem."""
+
     def test_delta_is_identity(self):
         rng = np.random.default_rng(5)
         shape = GridShape(6, 1)
         f = random_signal(shape, rng)
-        out = convolve(f, Signal.delta(shape))
-        assert np.allclose(out.values, f.values, atol=1e-12)
+        out = convolve_oracle(f, Signal.delta(shape))
+        assert np.allclose(out, f.values, atol=1e-12)
 
     def test_delta_translation(self):
         shape = GridShape(5, 2)
         a, b = (1, 2), (3, 4)
-        out = convolve(Signal.delta(shape, encode(a, shape)),
-                       Signal.delta(shape, encode(b, shape)))
+        out = convolve_oracle(Signal.delta(shape, encode(a, shape)),
+                              Signal.delta(shape, encode(b, shape)))
         expected = np.zeros(25, dtype=complex)
         expected[encode((4, 1), shape)] = 1.0  # (a+b) mod 5
-        assert np.allclose(out.values, expected, atol=1e-12)
+        assert np.allclose(out, expected, atol=1e-12)
 
     def test_matches_direct_sum_oracle(self):
+        # f*g = N^(d/2) inverse(forward(f) forward(g))
         rng = np.random.default_rng(6)
         for shape in (GridShape(6, 1), GridShape(3, 2)):
             f, g = random_signal(shape, rng), random_signal(shape, rng)
-            assert np.allclose(convolve(f, g).values, convolve_oracle(f, g), atol=1e-10)
+            product = Spectrum(shape, forward(f).values * forward(g).values)
+            via_transform = shape.size**0.5 * inverse(product).values
+            assert np.allclose(via_transform, convolve_oracle(f, g), atol=1e-10)
 
     def test_frequency_product_identity(self):
         # forward(f*g) = N^(d/2) forward(f) forward(g)
         rng = np.random.default_rng(8)
         shape = GridShape(6, 1)
         f, g = random_signal(shape, rng), random_signal(shape, rng)
-        lhs = forward(convolve(f, g)).values
+        lhs = forward(Signal(shape, convolve_oracle(f, g))).values
         rhs = 6**0.5 * forward(f).values * forward(g).values
         assert np.allclose(lhs, rhs, atol=1e-10 * np.abs(rhs).max())
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            convolve(Signal.delta(GridShape(4, 1)), Signal.delta(GridShape(5, 1)))
 
 
 class TestSpectralReproduction:
@@ -196,7 +197,7 @@ class TestSpectralReproduction:
         shape = GridShape(8, 1)
         S = FreqSet.from_indices(shape, [1, 4, 7])
         f = random_bandlimited(shape, S, rng)
-        repro = 8**-0.5 * convolve(f, indicator_spectrum(S)).values
+        repro = 8**-0.5 * convolve_oracle(f, indicator_spectrum(S))
         assert np.allclose(repro, f.values, atol=1e-9 * max(1, np.abs(f.values).max()))
 
     def test_general_set_conjugate_kernel(self):
@@ -206,7 +207,7 @@ class TestSpectralReproduction:
         S = FreqSet.from_indices(shape, [1, 2, 5])
         f = random_bandlimited(shape, S, rng)
         kernel = Signal(shape, np.conj(indicator_spectrum(S).values))
-        repro = 9**-0.5 * convolve(f, kernel).values
+        repro = 9**-0.5 * convolve_oracle(f, kernel)
         assert np.allclose(repro, f.values, atol=1e-9 * max(1, np.abs(f.values).max()))
 
 
@@ -217,7 +218,7 @@ class TestSupport:
         S = FreqSet.from_indices(shape, [0, 3, 7, 9])
         f = random_bandlimited(shape, S, rng)
         supp = support(forward(f))
-        assert S.contains(supp)
+        assert np.isin(supp.members, S.members).all()
 
     def test_threshold_scales_with_peak(self):
         shape = GridShape(8, 1)
@@ -227,19 +228,17 @@ class TestSupport:
         assert support(Spectrum(shape, values)).members.tolist() == [2]
 
     def test_configurable_tolerance(self):
+        # the cutoff is the module constant SUPPORT_RTOL, relative to max(1, peak)
         shape = GridShape(8, 1)
         values = np.zeros(8, dtype=complex)
         values[2] = 1.0
-        values[5] = 1e-10
+        values[5] = 0.5 * SUPPORT_RTOL
         assert support(Spectrum(shape, values)).members.tolist() == [2]
-        tight = support(Spectrum(shape, values), rtol=1e-11)
-        assert tight.members.tolist() == [2, 5]
+        values[5] = 2.0 * SUPPORT_RTOL
+        assert support(Spectrum(shape, values)).members.tolist() == [2, 5]
 
     def test_set_operations(self):
         shape = GridShape(6, 1)
         S = FreqSet.from_indices(shape, [1, 2])
-        assert S.negated().members.tolist() == [4, 5]
+        assert negate_indices(S.members, shape).tolist() == [5, 4]
         assert S.symmetrized().members.tolist() == [1, 2, 4, 5]
-        assert not S.is_symmetric()
-        assert S.symmetrized().is_symmetric()
-        assert S.complement().size == 4

@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from znsynth.lattice import (
-    GridShape,
-    all_coords,
-    character,
-    decode,
-    dot,
-    encode,
-    negate_indices,
-)
+from znsynth.fourier import Signal, forward
+from znsynth.lattice import GridShape, all_coords, decode, encode, negate_indices
+
+
+def character(a, b, shape: GridShape) -> complex:
+    """e^(-2*pi*i * (a.b mod N) / N), read off the forward transform of a point mass at a."""
+    row = forward(Signal.delta(shape, encode(a, shape))).values
+    return row[encode(b, shape)] * shape.size**0.5
+
+
+def dot(a, b, shape: GridShape) -> int:
+    """(a.b) mod N, read off the phase of character(a, b)."""
+    turns = -np.angle(character(a, b, shape)) / (2 * np.pi)
+    return round(turns * shape.modulus) % shape.modulus
 
 
 class TestGridShape:
@@ -72,6 +77,8 @@ class TestIndexing:
 
 
 class TestDot:
+    """The modular dot product in the forward transform's kernel."""
+
     def test_zero_vector_annihilates(self):
         assert dot((0, 0), (3, 5), GridShape(7, 2)) == 0
 
@@ -92,6 +99,8 @@ class TestDot:
 
 
 class TestCharacter:
+    """The additive characters that the forward transform pairs a signal with."""
+
     def test_trivial(self):
         assert character((0,), (3,), GridShape(7, 1)) == pytest.approx(1.0)
 

@@ -533,13 +533,14 @@ class TestInstanceGeneration:
         for size in (2, 3, 4):
             S = symmetric_hidden_set(shape, size, seed=size)
             assert S.size == size
-            assert S.is_symmetric()
+            assert S.symmetrized().members.tolist() == S.members.tolist()
 
     def test_odd_size_on_odd_modulus_uses_the_fixed_point(self):
         # Z_9 has one self-paired frequency (0), so size 3 needs 0 plus a pair
         shape = GridShape(9, 1)
         S = symmetric_hidden_set(shape, 3, seed=0)
-        assert S.is_symmetric() and 0 in S.members.tolist()
+        assert S.symmetrized().members.tolist() == S.members.tolist()
+        assert 0 in S.members.tolist()
 
     def test_impossible_size_raises(self):
         # more elements than the grid has
