@@ -255,6 +255,7 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_construct(ns) -> int:
+    max_draws = 10_000 if ns.max_draws is None else ns.max_draws
     if ns.kind == "random":
         S = random_set(ns.grid, ns.size, ns.seed)
         write_json(ns.out, set_to_doc(S))
@@ -267,23 +268,25 @@ def cmd_construct(ns) -> int:
             write_json(ns.perp_out, set_to_doc(H_perp))
             print(f"wrote {ns.perp_out} (|H_perp| = {H_perp.size})")
     elif ns.kind == "flat":
+        epsilon = 0.1 if ns.epsilon is None else ns.epsilon
         found = rejection_sample_flat(
-            ns.grid, ns.size, epsilon=ns.epsilon, max_draws=ns.max_draws, seed=ns.seed
+            ns.grid, ns.size, epsilon=epsilon, max_draws=max_draws, seed=ns.seed
         )
         write_json(ns.out, set_to_doc(found.set))
         print(
             f"wrote {ns.out} (phi = {found.statistic:.6g} after {found.draws} draws)"
         )
     elif ns.kind == "small-norm":
-        if ns.p == math.inf:
+        p = 2.0 if ns.p is None else ns.p
+        if p == math.inf:
             raise ValueError("--kind small-norm needs a finite --p")
-        target = ns.target if ns.target is not None else 2.0 ** (1.0 / ns.p)
+        target = ns.target if ns.target is not None else 2.0 ** (1.0 / p)
         found = rejection_sample_small_norm(
-            ns.grid, ns.size, ns.p, target, max_draws=ns.max_draws, seed=ns.seed
+            ns.grid, ns.size, p, target, max_draws=max_draws, seed=ns.seed
         )
         write_json(ns.out, set_to_doc(found.set))
         print(
-            f"wrote {ns.out} (L^{ns.p} norm = {found.statistic:.6g} "
+            f"wrote {ns.out} (L^{p} norm = {found.statistic:.6g} "
             f"after {found.draws} draws)"
         )
     elif ns.kind == "normalized-signal":
@@ -398,8 +401,8 @@ def cmd_recover(ns) -> int:
             oracle_agrees = bool(
                 float(np.abs(bf.signal.values - result.signal.values).max()) < 1e-6
             )
-        except EnumerationBudgetExceeded:
-            oracle_agrees = None
+        except (EnumerationBudgetExceeded, RecoveryError):
+            oracle_agrees = None  # out of budget, or no alphabet signal to compare
 
     doc = {
         "p": problem.p,
@@ -509,9 +512,9 @@ def _construct_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--grid", type=parse_grid)
     sp.add_argument("--size", type=int)
     sp.add_argument("--axes", type=parse_ints, help="0-based free axes, e.g. '0,1'")
-    sp.add_argument("--epsilon", type=float, default=0.1)
-    sp.add_argument("--max-draws", type=int, default=10_000)
-    sp.add_argument("--p", type=parse_exponent, default=2.0)
+    sp.add_argument("--epsilon", type=float, help="flat: default 0.1")
+    sp.add_argument("--max-draws", type=int, help="flat, small-norm: default 10000")
+    sp.add_argument("--p", type=parse_exponent, help="small-norm: default 2")
     sp.add_argument("--target", type=float, help="norm target (default 2^(1/p))")
     sp.add_argument("--set-file", help="input set for --kind normalized-signal")
     sp.add_argument("--out")
@@ -622,26 +625,26 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 # Per (subcommand, mode): the flags the mode needs, then the other flags it
-# reads; mode "" is what all its modes share.  Flags with defaults are left out,
-# as they always look given; argparse's required=True would break --explain.
+# reads; mode "" is what all its modes share.  A flag only some modes read has no
+# default, which would always look given; argparse's required=True breaks --explain.
 MODES = {
-    ("transform", ""): ("--input --output", ""),
-    ("verify", ""): ("--which --signal-file --set-file", "--grid --out"),
+    ("transform", ""): ("--input --output", "--direction"),
+    ("verify", ""): ("--which --signal-file --set-file", "--grid --out --p"),
     ("construct", ""): ("--kind --out", ""),
     ("construct", "random"): ("--grid --size", ""),
     ("construct", "subspace"): ("--grid --axes", "--perp-out"),
-    ("construct", "flat"): ("--grid --size", ""),
-    ("construct", "small-norm"): ("--grid --size", "--target"),
+    ("construct", "flat"): ("--grid --size", "--epsilon --max-draws"),
+    ("construct", "small-norm"): ("--grid --size", "--target --p --max-draws"),
     ("construct", "normalized-signal"): ("--set-file", "--grid"),
     ("phi-stats", ""): ("", "--out"),
     ("phi-stats", "set-file"): ("--set-file", "--grid"),
     ("phi-stats", "random"): ("--grid --size", ""),
     ("phi-stats", "tail"): ("--grid --size --tail-a --trials", "--format --workers"),
-    ("lambda-search", ""): ("--grid --size --p", "--out"),
-    ("recover", ""): ("", "--alphabet --csv --out --problem-out"),
+    ("lambda-search", ""): ("--grid --size --p", "--out --budget --trials --workers"),
+    ("recover", ""): ("", "--alphabet --csv --out --problem-out --oracle --tol --max-iters"),
     ("recover", "problem-file"): ("--problem-file", "--grid"),
     ("recover", "generated"): ("--grid --hidden-size", ""),
-    ("sweep", ""): ("--alpha --grid-range", "--format --out"),
+    ("sweep", ""): ("--alpha --grid-range", "--format --out --p-mode --dim --workers"),
     ("sweep", "critical"): ("", ""),
     ("sweep", "fixed"): ("--p", ""),
 }

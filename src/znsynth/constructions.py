@@ -96,8 +96,6 @@ def _random_indicators(rng: np.random.Generator, rows: int, shape: GridShape,
 class TailReport:
     """Empirical tail of Phi over random sets versus the proven bound."""
 
-    shape: GridShape
-    set_size: int
     threshold: float
     trials: int
     empirical: float
@@ -151,8 +149,7 @@ def hayes_tail_experiment(
     bound = min(1.0, hayes_tail_bound(shape.size, size, a))
     slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
     report = TailReport(
-        shape=shape, set_size=size, threshold=a, trials=trials,
-        empirical=empirical, bound=bound, mc_slack=slack,
+        threshold=a, trials=trials, empirical=empirical, bound=bound, mc_slack=slack
     )
     if not report.passed:
         raise BoundViolation(

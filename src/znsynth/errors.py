@@ -4,14 +4,7 @@ from __future__ import annotations
 
 
 class SupportViolation(ValueError):
-    """A signal's spectrum has energy outside the declared frequency set.
-
-    Carries the offending linear indices in ``offending``.
-    """
-
-    def __init__(self, message: str, offending: list[int]):
-        super().__init__(message)
-        self.offending = offending
+    """A signal's spectrum has energy outside the declared frequency set."""
 
 
 class BoundViolation(RuntimeError):

@@ -82,8 +82,7 @@ def _check_support(f: Signal, S: FreqSet) -> Spectrum:
         more = "" if outside.size <= 8 else f" (+{outside.size - 8} more)"
         raise SupportViolation(
             f"spectrum has energy at {outside.size} frequencies outside the "
-            f"declared set: linear indices {shown}{more}",
-            offending=[int(i) for i in outside],
+            f"declared set: linear indices {shown}{more}"
         )
     return F
 

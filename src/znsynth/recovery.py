@@ -63,6 +63,14 @@ CANDIDATE_BLOCK_POINTS = 1 << 16
 #: and each block of heads covers about this many signals.
 ORACLE_TAIL_ROWS = 1024
 
+#: alphabet_candidates gives None above this many level assignments.  It
+#: decides which draws random_instance can test for ambiguity, so it is part
+#: of the seed contract: changing it can change the instances a seed gives.
+CANDIDATE_LIMIT = 4096
+
+#: brute_force_recover refuses to enumerate more alphabet signals than this.
+ORACLE_BUDGET = 10_000_000
+
 
 def mask_spectrum(F: Spectrum, S: FreqSet) -> Spectrum:
     """Zero out the entries of F on S, modeling unobserved frequencies."""
@@ -71,19 +79,11 @@ def mask_spectrum(F: Spectrum, S: FreqSet) -> Spectrum:
     return Spectrum(F.shape, values)
 
 
-def separation_check(f: Signal, delta: float) -> bool:
-    """True iff distinct values of f differ by at least delta and f is not constant.
+def separated(values: np.ndarray, delta: float) -> bool:
+    """True iff distinct real values differ by at least delta and are not all equal.
 
-    Requires f real-valued; values within VALUE_EQ_TOL of each other count
-    as the same level.
+    Values within VALUE_EQ_TOL of each other count as the same level.
     """
-    if float(np.abs(f.values.imag).max(initial=0.0)) >= 1e-9:
-        raise ValueError("separation check requires a real-valued signal")
-    return _separated(f.values.real, delta)
-
-
-def _separated(values: np.ndarray, delta: float) -> bool:
-    """separation_check on an array of real values."""
     vals = np.sort(values)
     gaps = np.diff(vals)
     distinct = gaps[gaps > VALUE_EQ_TOL]
@@ -288,8 +288,8 @@ def recover(
     raw = g0 + B @ v
     signal, snapped = Signal(problem.shape, raw), False
     if candidates:
-        separated = [c for c in candidates if separation_check(c, problem.delta)]
-        signal = min(separated or candidates, key=lambda c: lp_norm(c, p))
+        spaced = [c for c in candidates if separated(c.values.real, problem.delta)]
+        signal = min(spaced or candidates, key=lambda c: lp_norm(c, p))
         snapped = True
     elif alphabet is not None:
         rounded = Signal(problem.shape, _snap(raw, _levels(alphabet)))
@@ -417,9 +417,7 @@ def _product_rows(levels: np.ndarray, width: int) -> np.ndarray:
 
 
 def alphabet_candidates(
-    problem: RecoveryProblem,
-    alphabet: Sequence[float],
-    limit: int = 4096,
+    problem: RecoveryProblem, alphabet: Sequence[float]
 ) -> list[Signal] | None:
     """All alphabet-valued signals consistent with the observed spectrum.
 
@@ -428,14 +426,15 @@ def alphabet_candidates(
     running over the |alphabet|^t assignments of levels to those
     coordinates enumerates every alphabet-valued feasible signal exactly.
     The candidates come back in the order of their first assignment.
-    Returns None when |alphabet|^t exceeds `limit` (callers fall back to
-    rounding).  This stays far cheaper than enumerating all |alphabet|^(N^d)
-    signals and never inspects more than the hidden coefficients.
+    Returns None when |alphabet|^t exceeds CANDIDATE_LIMIT (callers fall
+    back to rounding).  This stays far cheaper than enumerating all
+    |alphabet|^(N^d) signals and never inspects more than the hidden
+    coefficients.
     """
     levels = _levels(alphabet)
     g0, B = problem.basis
     t = B.shape[1]
-    if len(levels) ** t > limit:
+    if len(levels) ** t > CANDIDATE_LIMIT:
         return None
     rows = _pivot_rows(B)
     close = []
@@ -460,9 +459,7 @@ class BruteForceResult:
 
 
 def brute_force_recover(
-    problem: RecoveryProblem,
-    value_alphabet: Sequence[float],
-    budget: int = 10_000_000,
+    problem: RecoveryProblem, value_alphabet: Sequence[float]
 ) -> BruteForceResult:
     """Enumerate every alphabet-valued signal and keep the feasible minimum.
 
@@ -474,10 +471,10 @@ def brute_force_recover(
 
     Each signal is split into head coordinates and the last `low` tail
     coordinates, as many as keep |alphabet|^low within ORACLE_TAIL_ROWS but
-    at least one, so that at most budget / |alphabet| heads remain.  The
-    tails' share of the known spectrum, minus the observed values, is one
-    real matmul against the stacked real and imaginary character rows, and
-    each head adds its own share, one row vector, to it.  Blocks of heads
+    at least one, so that at most ORACLE_BUDGET / |alphabet| heads remain.
+    The tails' share of the known spectrum, minus the observed values, is
+    one real matmul against the stacked real and imaginary character rows,
+    and each head adds its own share, one row vector, to it.  Blocks of heads
     covering about ORACLE_TAIL_ROWS signals are tested on one known
     frequency first; only the signals that pass are tested on all of them.
     Signals are visited in itertools.product order.
@@ -486,10 +483,10 @@ def brute_force_recover(
     shape = problem.shape
     levels = _levels(value_alphabet)
     count = len(levels) ** shape.size
-    if count > budget:
+    if count > ORACLE_BUDGET:
         raise EnumerationBudgetExceeded(
             f"{len(levels)}^{shape.size} = {count} candidates exceed the "
-            f"budget of {budget}"
+            f"budget of {ORACLE_BUDGET}"
         )
     coords = all_coords(shape)
     dots = (coords @ coords.T) % shape.modulus
@@ -593,26 +590,31 @@ def symmetric_hidden_set(shape: GridShape, size: int, seed) -> FreqSet:
     return FreqSet.from_indices(shape, _draw_hidden_set(as_generator(seed), tables))
 
 
+#: The exponents random_instance tries, largest first, and its number of
+#: draws before it gives up.  A draw's exponent and whether it is accepted
+#: depend on both, so they are part of the seed contract: changing either
+#: changes the instances a seed gives.
+P_GRID = (2.5, 2.25, 2.0, 1.9, 1.75, 1.5, 1.4, 1.3, 1.25, 1.1)
+MAX_TRIES = 2000
+
+
 def random_instance(
     shape: GridShape,
     hidden_size: int,
     seed,
     alphabet: Sequence[float] = (0.0, 1.0),
-    delta: float | None = None,
-    p_grid: Sequence[float] = (2.5, 2.25, 2.0, 1.9, 1.75, 1.5, 1.4, 1.3, 1.25, 1.1),
-    max_tries: int = 2000,
     well_posed: bool = True,
 ) -> tuple[RecoveryProblem, Signal]:
     """A random alphabet-valued instance satisfying the uniqueness threshold.
 
     Draws a separated non-constant alphabet signal and a symmetric hidden
     set (as :func:`symmetric_hidden_set` does, from the same generator),
-    then picks the first exponent of p_grid (the largest, for the default
-    descending grid) for which ||truth||_p < delta / (2 sqrt(c_size));
-    combinations admitting no such exponent are rejected and redrawn.
-    Every hidden set has hidden_size members, so the limit for each p is
-    computed once per call, and the spectrum and problem are built only
-    for a draw that passes.
+    then picks the first (largest) exponent of P_GRID for which
+    ||truth||_p < delta / (2 sqrt(c_size)), with delta the alphabet's
+    smallest gap; combinations admitting no such exponent are rejected and
+    redrawn.  Every hidden set has hidden_size members, so the limit for
+    each p is computed once per call, and the spectrum and problem are
+    built only for a draw that passes.
 
     The threshold guarantees uniqueness of the separated candidate only in
     the p >= 2 regime of the sup-norm bound; for the exponents below 2
@@ -621,30 +623,24 @@ def random_instance(
     such draws are rejected by enumerating the feasible alphabet signals,
     so the returned instance always determines its truth.
 
-    Raises ValueError before any draw when no draw could succeed (delta
-    <= 0, a p_grid entry that is infinite, NaN or below 1, an empty p_grid, or
-    a hidden size the grid has no negation-closed set of), and
-    RecoveryError after max_tries draws, saying how many were not
-    separated, had no admissible exponent, or were ambiguous, and the
-    smallest norm / limit seen.
+    Raises ValueError before any draw when no draw could succeed (an
+    alphabet of fewer than two values, or a hidden size the grid has no
+    negation-closed set of), and RecoveryError after MAX_TRIES draws,
+    saying how many were not separated, had no admissible exponent, or were
+    ambiguous, and the smallest norm / limit seen.
     """
     rng = as_generator(seed)
     levels = _levels(alphabet)
     if levels.size < 2:
         raise ValueError("alphabet must contain at least two values")
-    if delta is None:
-        delta = float(np.diff(levels).min())
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if not p_grid:
-        raise ValueError("p_grid must not be empty")
+    delta = float(np.diff(levels).min())
     tables = _hidden_set_tables(shape, hidden_size)
-    limits = [_threshold(delta, hidden_size, shape, p) for p in p_grid]
+    limits = [_threshold(delta, hidden_size, shape, p) for p in P_GRID]
     unseparated = no_exponent = ambiguous = 0
     best_ratio = math.inf
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         values = levels[rng.integers(levels.size, size=shape.size)]
-        if not _separated(values, delta):
+        if not separated(values, delta):
             unseparated += 1
             continue
         members = _draw_hidden_set(rng, tables)
@@ -653,7 +649,7 @@ def random_instance(
         mags = np.abs(values)
         top = float(mags.max())
         r = mags / top
-        for p, limit in zip(p_grid, limits):
+        for p, limit in zip(P_GRID, limits):
             norm = top * float((r**p).sum()) ** (1.0 / p)
             best_ratio = min(best_ratio, norm / limit)
             if norm < limit:
@@ -676,8 +672,7 @@ def random_instance(
             no_exponent += 1
     raise RecoveryError(
         f"no instance satisfying the uniqueness threshold found in "
-        f"{max_tries} draws (grid {shape}, hidden size {hidden_size}): "
+        f"{MAX_TRIES} draws (grid {shape}, hidden size {hidden_size}): "
         f"{unseparated} not separated, {no_exponent} with no admissible "
-        f"exponent, {ambiguous} ambiguous; smallest norm / limit "
-        + ("none" if best_ratio == math.inf else f"{best_ratio:.6g}")
+        f"exponent, {ambiguous} ambiguous; smallest norm / limit {best_ratio:.6g}"
     )

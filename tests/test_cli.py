@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -17,14 +18,15 @@ from znsynth.cli import (
     parse_grid,
     parse_range,
 )
-from znsynth.fourier import Signal, forward
+from znsynth.fourier import FreqSet, Signal, forward
 from znsynth.lattice import GridShape
-from znsynth.recovery import random_instance
+from znsynth.recovery import RecoveryProblem, mask_spectrum, random_instance
 from znsynth.serialization import (
     csv_body,
     format_cell,
     load_json,
     problem_to_doc,
+    set_to_doc,
     signal_to_doc,
     write_json,
 )
@@ -253,6 +255,20 @@ class TestPipelines:
         assert doc["oracle_agrees"] is None
         assert doc["recovered"] == truth.values.real.tolist()
 
+    @pytest.mark.parametrize("oracle", ["--oracle", "--no-oracle"])
+    def test_recover_problem_file_with_no_alphabet_signal(self, tmp_path, capsys, oracle):
+        # no 0/1 signal matches this spectrum, so the oracle has nothing to compare
+        shape, hidden = GridShape(8, 1), FreqSet.from_indices(GridShape(8, 1), [1, 7])
+        truth = Signal(shape, [0.3, 0, 0, 1.7, 0, 0, 0, 0])
+        prob = tmp_path / "problem.json"
+        write_json(str(prob), problem_to_doc(RecoveryProblem(
+            shape, mask_spectrum(forward(truth), hidden), hidden, p=2.0, delta=1.0)))
+        assert run(["recover", "--problem-file", str(prob), "--alphabet", "0,1",
+                    oracle]) == 0
+        doc = json.loads(capsys.readouterr().out)["result"]
+        assert doc["snapped"] is False
+        assert doc["oracle_agrees"] is None
+
 
 class TestDeterminism:
     def test_sweep_bodies_identical_across_workers(self, tmp_path):
@@ -367,10 +383,15 @@ class TestErrorPaths:
         ("construct --kind subspace --grid 8x2 --axes 0 --size 3", ["--size"]),
         ("phi-stats --set-file {s} --workers 2", ["--workers"]),
         ("phi-stats --grid 8x1 --size 2 --workers 0", ["--workers"]),
+        ("construct --kind random --grid 8x1 --size 3 --epsilon 0.5 --max-draws 3 --p 7",
+         ["--epsilon", "--max-draws", "--p"]),
+        ("construct --kind flat --grid 16x1 --size 4 --p 3", ["--p"]),
+        ("construct --kind small-norm --grid 16x1 --size 4 --epsilon 0.5", ["--epsilon"]),
     ], ids=["phi-stats-set-file", "phi-stats-random", "recover-problem-file",
             "sweep-critical", "construct-random", "construct-normalized-signal",
             "construct-subspace", "phi-stats-set-file-workers",
-            "phi-stats-random-workers"])
+            "phi-stats-random-workers", "construct-random-sampler-flags",
+            "construct-flat-p", "construct-small-norm-epsilon"])
     def test_flag_of_another_mode_is_usage_error(self, tmp_path, capsys, args, stray):
         s, p, q, out = (tmp_path / n for n in ("s.json", "p.json", "q.json", "out"))
         assert run(["construct", "--kind", "random", "--grid", "8x1", "--size", "2",
@@ -499,6 +520,51 @@ class TestErrorPaths:
                     "--trials", "-1"]) == 2
         assert "trials must be >= 0" in capsys.readouterr().err
 
+    def test_zero_lambda_budget_is_usage_error(self, capsys):
+        assert run(["lambda-search", "--grid", "16x1", "--size", "4", "--p", "4",
+                    "--budget", "0"]) == 2
+        assert "budget must be >= 1" in capsys.readouterr().err
+
+    def test_zero_max_draws_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert run(["construct", "--kind", "flat", "--grid", "16x1", "--size", "4",
+                    "--max-draws", "0", "--out", str(out)]) == 2
+        assert "max_draws must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_normalized_signal_of_an_empty_set_is_usage_error(self, tmp_path, capsys):
+        s, f = tmp_path / "s.json", tmp_path / "f.json"
+        write_json(str(s), set_to_doc(FreqSet(GridShape(8, 1))))
+        assert run(["construct", "--kind", "normalized-signal", "--set-file", str(s),
+                    "--out", str(f)]) == 2
+        assert "requires a non-empty set" in capsys.readouterr().err
+        assert not f.exists()
+
+    def test_subspace_without_axes_is_the_degenerate_pair(self, tmp_path, capsys):
+        h = tmp_path / "h.json"
+        with pytest.warns(UserWarning, match="degenerate subspace with K = 0"):
+            assert run(["construct", "--kind", "subspace", "--grid", "4x2", "--axes", "",
+                        "--out", str(h)]) == 0
+        assert "(|H| = 1)" in capsys.readouterr().out
+        assert load_json(str(h))["members"] == [0]
+
+    def test_verify_of_a_spectrum_is_usage_error(self, tmp_path, capsys):
+        s, F = tmp_path / "s.json", tmp_path / "F.json"
+        shape = GridShape(8, 1)
+        write_json(str(s), set_to_doc(FreqSet.full(shape)))
+        write_json(str(F), signal_to_doc(forward(Signal.delta(shape))))
+        assert run(["verify", "--which", "support-size", "--signal-file", str(F),
+                    "--set-file", str(s)]) == 2
+        assert "holds a frequency-domain document" in capsys.readouterr().err
+
+    def test_verify_across_grids_is_usage_error(self, tmp_path, capsys):
+        s, f = tmp_path / "s.json", tmp_path / "f.json"
+        write_json(str(s), set_to_doc(FreqSet.full(GridShape(16, 1))))
+        write_json(str(f), signal_to_doc(Signal.delta(GridShape(8, 1))))
+        assert run(["verify", "--which", "support-size", "--signal-file", str(f),
+                    "--set-file", str(s)]) == 2
+        assert "signal grid 8x1 differs from set grid 16x1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", [["a", 0], None])
     def test_malformed_values_entry_is_usage_error(self, tmp_path, bad):
         doc = {"modulus": 4, "dim": 1, "domain": "space",
@@ -611,6 +677,22 @@ class TestErrorPaths:
         monkeypatch.setattr(cli, "normalized_indicator_norms", exhausted)
         assert run(["sweep", "--alpha", "0.5", "--grid-range", "8..16"]) == 2
         assert capsys.readouterr().err == "error: out of memory: Unable to allocate 8.00 GiB\n"
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_modes_name_every_flag(command):
+    # check_flags sees only the flags MODES names, and a flag given a default
+    # always looks given, so one that only some modes read must have none
+    sp = argparse.ArgumentParser()
+    SUBCOMMANDS[command](sp)
+    modes = {m: {f[2:].replace("-", "_") for f in " ".join(spec).split()}
+             for (c, m), spec in cli.MODES.items() if c == command}
+    shared = modes.pop("")
+    for action in sp._actions:
+        if action.dest == "help" or action.dest in shared:
+            continue
+        assert any(action.dest in flags for flags in modes.values()), action.dest
+        assert action.default is None, action.dest
 
 
 def test_readme_command_lines_pass_the_flag_check():

@@ -138,7 +138,6 @@ class TestSupportBound:
         f = inverse(Spectrum(shape, np.eye(1, 8, 3).ravel()))  # spectrum at {3}
         with pytest.raises(SupportViolation) as err:
             verify_support_bound(f, FreqSet.from_indices(shape, [0, 1]), 2)
-        assert err.value.offending == [3]
         assert "3" in str(err.value)
 
     def test_zero_signal_passes_with_infinite_slack(self):

@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 import itertools
 import math
 
@@ -13,6 +12,7 @@ from znsynth.lattice import GridShape
 from znsynth.recovery import (
     FEASIBILITY_TOL,
     MATCH_TOL,
+    P_GRID,
     RecoveryProblem,
     brute_force_recover,
     feasibility_error,
@@ -22,7 +22,7 @@ from znsynth.recovery import (
     random_instance,
     reconstruction_basis,
     recover,
-    separation_check,
+    separated,
     symmetric_hidden_set,
 )
 
@@ -152,21 +152,13 @@ class TestProblemConstruction:
 
 class TestSeparation:
     def test_binary_nonconstant(self):
-        f = Signal(GridShape(8, 1), [0, 1, 0, 0, 1, 0, 0, 0])
-        assert separation_check(f, 1.0)
+        assert separated(np.array([0.0, 1, 0, 0, 1, 0, 0, 0]), 1.0)
 
     def test_constant_excluded(self):
-        f = Signal.constant(GridShape(8, 1), 1.0)
-        assert not separation_check(f, 1.0)
+        assert not separated(np.ones(8), 1.0)
 
     def test_midpoint_value_fails(self):
-        f = Signal(GridShape(4, 1), [0.0, 0.5, 1.0, 0.0])
-        assert not separation_check(f, 1.0)
-
-    def test_complex_rejected(self):
-        f = Signal(GridShape(4, 1), [0, 1j, 0, 0])
-        with pytest.raises(ValueError, match="real"):
-            separation_check(f, 1.0)
+        assert not separated(np.array([0.0, 0.5, 1.0, 0.0]), 1.0)
 
 
 class TestCertificate:
@@ -392,7 +384,7 @@ class TestBruteForce:
     def test_budget_guard(self):
         problem, _ = _problem((16, 1), np.zeros(16), [8], p=2.0)
         with pytest.raises(EnumerationBudgetExceeded):
-            brute_force_recover(problem, [0.0, 1.0, 2.0, 3.0], budget=1000)
+            brute_force_recover(problem, [0.0, 1.0, 2.0, 3.0])  # 4^16 > ORACLE_BUDGET
 
     def test_matches_solver_on_valid_instances(self):
         for seed in range(8):
@@ -465,12 +457,6 @@ class TestAlphabetDecode:
         assert len(alphabet_candidates(problem, (0.0, 1.0))) == 1
         result = recover(problem, alphabet=(0.0, 1.0))
         assert np.abs(result.signal.values - truth.values).max() < 1e-9
-
-    def test_budget_falls_back_to_none(self):
-        from znsynth.recovery import alphabet_candidates
-
-        problem, _ = random_instance(GridShape(16, 1), 4, seed=1, well_posed=False)
-        assert alphabet_candidates(problem, (0.0, 1.0), limit=2) is None
 
     def test_tie_instance_yields_two_candidates(self):
         from znsynth.recovery import alphabet_candidates
@@ -551,17 +537,15 @@ class TestInstanceGeneration:
         for seed in range(10):
             problem, truth = random_instance(GridShape(16, 1), 3, seed=seed)
             assert lp_norm(truth, problem.p) < problem.threshold
-            assert separation_check(truth, problem.delta)
+            assert separated(truth.values.real, problem.delta)
 
 
 class TestInstanceInputs:
     @pytest.mark.parametrize("kwargs", [
-        {"delta": 0.0},
-        {"delta": -1.0},
-        {"p_grid": (math.inf,)},
-        {"p_grid": (0.5,)},
-        {"p_grid": ()},
         {"hidden_size": 0},
+        {"hidden_size": 9},
+        {"alphabet": (1.0,)},
+        {"alphabet": (0.0, math.inf)},
     ])
     def test_rejected_before_the_first_draw(self, kwargs):
         rng = np.random.default_rng(0)
@@ -573,18 +557,12 @@ class TestInstanceInputs:
 
     def test_failure_says_why_each_draw_was_rejected(self):
         with pytest.raises(RecoveryError) as err:
-            random_instance(GridShape(8, 1), 4, seed=175, max_tries=8)
+            random_instance(GridShape(4, 1), 2, seed=0)
         assert str(err.value) == (
-            "no instance satisfying the uniqueness threshold found in 8 draws "
-            "(grid 8x1, hidden size 4): 1 not separated, 6 with no admissible "
-            "exponent, 1 ambiguous; smallest norm / limit 0.905724"
+            "no instance satisfying the uniqueness threshold found in 2000 draws "
+            "(grid 4x1, hidden size 2): 213 not separated, 1263 with no admissible "
+            "exponent, 524 ambiguous; smallest norm / limit 0.973693"
         )
-
-    def test_failure_without_a_separated_draw(self):
-        with pytest.raises(RecoveryError, match="5 not separated, 0 with no "
-                           "admissible exponent, 0 ambiguous; smallest norm / "
-                           "limit none"):
-            random_instance(GridShape(8, 1), 2, seed=0, delta=5.0, max_tries=5)
 
 
 def _instances_digest(instances) -> str:
@@ -784,7 +762,7 @@ class TestGoldenDescent:
 
 
 # every exponent random_instance may pick, 1.5 (a gradient exponent of 0.5) and 2.0 included
-DEFAULT_P_GRID = inspect.signature(random_instance).parameters["p_grid"].default
+DEFAULT_P_GRID = P_GRID
 
 
 class TestDescentReference:

@@ -181,6 +181,17 @@ class TestCsv:
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
 
+    def test_atomic_write_leaves_no_temp_file_when_the_rename_fails(
+        self, tmp_path, monkeypatch
+    ):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            atomic_write_text(str(tmp_path / "out.txt"), "hello\n")
+        assert os.listdir(tmp_path) == []
+
 
 # Command lines that write every kind of document: a set, a signal, a
 # spectrum, a report, a problem, and command results holding bools, integers
