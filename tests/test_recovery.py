@@ -542,10 +542,12 @@ class TestInstanceGeneration:
 
 class TestInstanceInputs:
     @pytest.mark.parametrize("kwargs", [
-        {"hidden_size": 0},
         {"hidden_size": 9},
         {"alphabet": (1.0,)},
         {"alphabet": (0.0, math.inf)},
+        {"alphabet": (0.0, math.nan)},
+        {"alphabet": (1.0, 1.0)},
+        {"hidden_size": 0},
     ])
     def test_rejected_before_the_first_draw(self, kwargs):
         rng = np.random.default_rng(0)
