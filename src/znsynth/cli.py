@@ -110,11 +110,12 @@ EXPLANATIONS = {
     ),
     "recover": (
         "Exact recovery of a value-separated real signal from its spectrum "
-        "with a hidden symmetric frequency set: minimize ||g||_p over real "
-        "signals matching the observed coefficients, snap to the declared "
-        "alphabet, and certify uniqueness via ||f||_p < delta/(2 sqrt("
-        "c_size)), a proof for p >= 2 only.  Optionally cross-checked "
-        "against exhaustive enumeration."
+        "with a hidden frequency set S, which must satisfy S = -S: minimize "
+        "||g||_p over real signals matching the observed coefficients, snap "
+        "to the declared alphabet, and certify uniqueness via ||f||_p < "
+        "delta/(2 sqrt(c_size)), a proof for p >= 2 only.  With an alphabet, "
+        "the result is cross-checked against exhaustive enumeration unless "
+        "--no-oracle is given."
     ),
     "sweep": (
         "Tabulate, over a range of grid sizes N with |S| = ceil(N^alpha), "
@@ -171,7 +172,7 @@ def parse_range(text: str) -> list[int]:
 
 
 def _config_of(ns: argparse.Namespace) -> dict:
-    skip = {"func", "command", "explain"}
+    skip = {"func", "command"}
     out = {}
     for key, value in sorted(vars(ns).items()):
         if key in skip or value is None:
@@ -552,9 +553,7 @@ def _recover_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--hidden-size", type=int)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--max-iters", type=int, default=50_000)
-    oracle = sp.add_mutually_exclusive_group()
-    oracle.add_argument("--oracle", dest="oracle", action="store_true", default=True)
-    oracle.add_argument("--no-oracle", dest="oracle", action="store_false")
+    sp.add_argument("--no-oracle", dest="oracle", action="store_false")
     sp.add_argument("--csv", help="append a result row to this CSV")
     sp.add_argument("--out", help="write the report JSON here (default stdout)")
     sp.add_argument("--problem-out", help="also write the problem document here")
@@ -604,14 +603,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, add_flags in SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=EXPLANATIONS[name][:60] + "...")
+        text = EXPLANATIONS[name]
+        sp = sub.add_parser(name, help=text[:60] + "...", description=text)
         if command not in (None, name):
             continue
-        sp.add_argument(
-            "--explain",
-            action="store_true",
-            help="describe what this command measures and exit",
-        )
         sp.add_argument(
             "--seed",
             type=int,
@@ -625,8 +620,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 # Per (subcommand, mode): the flags the mode needs, then the other flags it
-# reads; mode "" is what all its modes share.  A flag only some modes read has no
-# default, which would always look given; argparse's required=True breaks --explain.
+# reads; mode "" is what all its modes share.  Flags are named by dest, so
+# --no-oracle is --oracle here.  A flag only some modes read has no default,
+# which would always look given; argparse's required=True cannot vary by mode.
 MODES = {
     ("transform", ""): ("--input --output", "--direction"),
     ("verify", ""): ("--which --signal-file --set-file", "--grid --out --p"),
@@ -685,9 +681,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     ns = build_parser(command).parse_args(argv)
-    if getattr(ns, "explain", False):
-        print(EXPLANATIONS[ns.command])
-        return EXIT_OK
     try:
         check_flags(ns)
         # numpy takes no negative seed, and orjson no integer of 2^64 or more
@@ -697,7 +690,7 @@ def main(argv=None) -> int:
     except (BoundViolation, SamplingBudgetExceeded) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    except (ValueError, KeyError, OSError, RecoveryError, EnumerationBudgetExceeded) as exc:
+    except (ValueError, KeyError, OSError, RecoveryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -23,31 +23,32 @@ from .lattice import GridShape, negate_indices
 SUPPORT_RTOL = 1e-9
 
 
-def _as_values(shape: GridShape, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128).reshape(-1).copy()
-    if arr.size != shape.size:
-        raise ValueError(
-            f"expected {shape.size} values for grid {shape}, got {arr.size}"
-        )
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValueError("values must be finite (no NaN/Inf)")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
-class Signal:
-    """A complex-valued function on the grid (space domain)."""
+class _GridFunction:
+    """Complex values on the grid, one per point: finite, flat and read-only."""
 
     shape: GridShape
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_values(self.shape, self.values))
+        arr = np.asarray(self.values, dtype=np.complex128).reshape(-1).copy()
+        if arr.size != self.shape.size:
+            raise ValueError(
+                f"expected {self.shape.size} values for grid {self.shape}, got {arr.size}"
+            )
+        if not np.all(np.isfinite(arr.view(np.float64))):
+            raise ValueError("values must be finite (no NaN/Inf)")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     def grid(self) -> np.ndarray:
         """Values reshaped to (N, ..., N)."""
         return self.values.reshape(self.shape.axes)
+
+
+@dataclass(frozen=True)
+class Signal(_GridFunction):
+    """A complex-valued function on the grid (space domain)."""
 
     @classmethod
     def delta(cls, shape: GridShape, index: int = 0) -> "Signal":
@@ -61,17 +62,8 @@ class Signal:
 
 
 @dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_GridFunction):
     """A complex-valued function on the grid (frequency domain)."""
-
-    shape: GridShape
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_values(self.shape, self.values))
-
-    def grid(self) -> np.ndarray:
-        return self.values.reshape(self.shape.axes)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,10 +95,11 @@ def separated(values: np.ndarray, delta: float) -> bool:
 class RecoveryProblem:
     """Observed spectrum with a hidden set, plus the norm exponent and separation.
 
-    hidden is symmetrized (S union -S) on construction so that real
-    candidates exist; observed is zeroed on hidden and must be
-    conjugate-symmetric elsewhere.  c_size is derived: with k = 2d/p,
-    c_size = |hidden| / N^k.
+    hidden must be non-empty, leave a frequency observed and satisfy S = -S
+    (a real signal has F(-m) = conj F(m), so an observed -m reveals m).
+    observed is zeroed on hidden and must be conjugate-symmetric elsewhere;
+    p must be finite and >= 1, delta finite and positive (else ValueError).
+    c_size is derived: with k = 2d/p, c_size = |hidden| / N^k.
     """
 
     shape: GridShape
@@ -111,20 +111,15 @@ class RecoveryProblem:
     def __post_init__(self):
         if not 1 <= self.p < math.inf:
             raise ValueError(f"norm exponent must be finite and >= 1, got {self.p}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
         if self.hidden.size == 0:
             raise ValueError("hidden set must be non-empty")
-        sym = self.hidden.symmetrized()
-        if sym.size != self.hidden.size:
-            warnings.warn(
-                f"hidden set symmetrized: |S| grew {self.hidden.size} -> {sym.size}",
-                stacklevel=2,
-            )
-            object.__setattr__(self, "hidden", sym)
-        object.__setattr__(
-            self, "observed", mask_spectrum(self.observed, self.hidden)
-        )
+        if self.hidden.size == self.shape.size:
+            raise ValueError("every frequency is hidden; the constraints carry no information")
+        if self.hidden.symmetrized().size != self.hidden.size:
+            raise ValueError("hidden set must satisfy S = -S: F(-m) = conj F(m) for real f")
+        object.__setattr__(self, "observed", mask_spectrum(self.observed, self.hidden))
         _check_conjugate_symmetry(self.observed, self.hidden)
 
     @property
@@ -165,13 +160,6 @@ def _levels(alphabet: Sequence[float]) -> np.ndarray:
     if not np.isfinite(levels).all():
         raise ValueError(f"alphabet values must be finite, got {levels.tolist()}")
     return levels
-
-
-def _require_known_frequency(problem: RecoveryProblem) -> None:
-    if problem.hidden.size == problem.shape.size:
-        raise RecoveryError(
-            "every frequency is hidden; the constraints carry no information"
-        )
 
 
 def _check_conjugate_symmetry(F: Spectrum, hidden: FreqSet) -> None:
@@ -279,7 +267,6 @@ def recover(
         raise ValueError("max_iters must be >= 0")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got tol={tol}")
-    _require_known_frequency(problem)
     p = problem.p
     candidates = None if alphabet is None else alphabet_candidates(problem, alphabet)
     g0, B = problem.basis
@@ -479,7 +466,6 @@ def brute_force_recover(
     frequency first; only the signals that pass are tested on all of them.
     Signals are visited in itertools.product order.
     """
-    _require_known_frequency(problem)
     shape = problem.shape
     levels = _levels(value_alphabet)
     count = len(levels) ** shape.size
@@ -549,8 +535,8 @@ def _hidden_set_tables(shape: GridShape, size: int):
     of each (m, -m) pair, and choices the (pairs, singles) splits of `size`
     the grid admits.  None of it depends on the draw.
     """
-    if size < 1:
-        raise ValueError(f"hidden set size must be >= 1, got {size}")
+    if not 1 <= size < shape.size:  # a full set would leave nothing observed
+        raise ValueError(f"hidden set size must be >= 1 and < {shape.size}, got {size}")
     indices = np.arange(shape.size)
     neg = negate_indices(indices, shape)
     fixed = indices[neg == indices]
@@ -624,16 +610,19 @@ def random_instance(
     so the returned instance always determines its truth.
 
     Raises ValueError before any draw when no draw could succeed (an
-    alphabet of fewer than two values, or a hidden size the grid has no
-    negation-closed set of), and RecoveryError after MAX_TRIES draws,
-    saying how many were not separated, had no admissible exponent, or were
-    ambiguous, and the smallest norm / limit seen.
+    alphabet of fewer than two values, or with two within VALUE_EQ_TOL; a
+    hidden size below 1, of the whole grid, or of no negation-closed set),
+    and RecoveryError after MAX_TRIES draws, saying how many were not
+    separated, had no admissible exponent, or were ambiguous, and the
+    smallest norm / limit seen.
     """
     rng = as_generator(seed)
     levels = _levels(alphabet)
     if levels.size < 2:
         raise ValueError("alphabet must contain at least two values")
     delta = float(np.diff(levels).min())
+    if delta <= VALUE_EQ_TOL:  # values this close are one level to `separated`
+        raise ValueError(f"alphabet values must differ by more than {VALUE_EQ_TOL}")
     tables = _hidden_set_tables(shape, hidden_size)
     limits = [_threshold(delta, hidden_size, shape, p) for p in P_GRID]
     unseparated = no_exponent = ambiguous = 0
@@ -657,7 +646,7 @@ def random_instance(
                 hidden = FreqSet.from_indices(shape, members)
                 problem = RecoveryProblem(
                     shape=shape,
-                    observed=mask_spectrum(forward(truth), hidden),
+                    observed=forward(truth),
                     hidden=hidden,
                     p=p,
                     delta=delta,

@@ -59,13 +59,17 @@ def _decode_extended(x, field: str) -> float:
     return float(x)
 
 
+def _integer(x, field: str) -> int:
+    """x as an int; a value that int() would change is an error."""
+    i = int(x)  # raises for None, lists, non-numeric strings, NaN and infinities
+    if i != x:
+        raise ValueError(f"{field} {x!r} is not an integer")
+    return i
+
+
 def _indices(entries, field: str) -> list[int]:
-    """Linear indices of a document list; an entry int() would change is an error."""
-    indices = [int(m) for m in entries]
-    for m, i in zip(entries, indices):
-        if m != i:
-            raise ValueError(f"{field} entry {m!r} is not an integer index")
-    return indices
+    """Linear indices of a document list, each entry an integer."""
+    return [_integer(m, f"{field} entry") for m in entries]
 
 
 def atomic_write_text(path: str, text: str | bytes) -> None:
@@ -118,8 +122,8 @@ def signal_to_doc(f: Signal | Spectrum) -> dict:
 
 def signal_from_doc(doc: dict) -> Signal | Spectrum:
     try:
-        shape = GridShape(modulus=int(doc["modulus"]), dim=int(doc["dim"]))
-    except (TypeError, IndexError) as exc:
+        shape = GridShape(_integer(doc["modulus"], "modulus"), _integer(doc["dim"], "dim"))
+    except (TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed signal document: {exc}") from exc
     values = _pairs_to_values(doc["values"])
     domain = doc.get("domain", "space")
@@ -140,7 +144,7 @@ def set_to_doc(S: FreqSet) -> dict:
 
 def set_from_doc(doc: dict) -> FreqSet:
     try:
-        shape = GridShape(modulus=int(doc["modulus"]), dim=int(doc["dim"]))
+        shape = GridShape(_integer(doc["modulus"], "modulus"), _integer(doc["dim"], "dim"))
         return FreqSet.from_indices(shape, _indices(doc["members"], "members"))
     except (TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed set document: {exc}") from exc
@@ -175,7 +179,8 @@ def problem_to_doc(problem: RecoveryProblem) -> dict:
 
 def problem_from_doc(doc: dict) -> RecoveryProblem:
     try:
-        shape = GridShape(modulus=int(doc["grid"]["N"]), dim=int(doc["grid"]["d"]))
+        grid = doc["grid"]
+        shape = GridShape(_integer(grid["N"], "grid.N"), _integer(grid["d"], "grid.d"))
         hidden = FreqSet.from_indices(shape, _indices(doc["hidden"], "hidden"))
         observed = doc["observed"]
         if len(observed) != shape.size:

@@ -255,7 +255,7 @@ class TestPipelines:
         assert doc["oracle_agrees"] is None
         assert doc["recovered"] == truth.values.real.tolist()
 
-    @pytest.mark.parametrize("oracle", ["--oracle", "--no-oracle"])
+    @pytest.mark.parametrize("oracle", [[], ["--no-oracle"]], ids=["default", "--no-oracle"])
     def test_recover_problem_file_with_no_alphabet_signal(self, tmp_path, capsys, oracle):
         # no 0/1 signal matches this spectrum, so the oracle has nothing to compare
         shape, hidden = GridShape(8, 1), FreqSet.from_indices(GridShape(8, 1), [1, 7])
@@ -264,7 +264,7 @@ class TestPipelines:
         write_json(str(prob), problem_to_doc(RecoveryProblem(
             shape, mask_spectrum(forward(truth), hidden), hidden, p=2.0, delta=1.0)))
         assert run(["recover", "--problem-file", str(prob), "--alphabet", "0,1",
-                    oracle]) == 0
+                    *oracle]) == 0
         doc = json.loads(capsys.readouterr().out)["result"]
         assert doc["snapped"] is False
         assert doc["oracle_agrees"] is None
@@ -614,10 +614,14 @@ class TestErrorPaths:
                     "--out", str(tmp_path / "s.json")])
         assert code == 3
 
-    def test_explain_prints_and_exits_zero(self, capsys):
-        assert run(["recover", "--explain"]) == 0
-        out = capsys.readouterr().out
-        assert "recovery" in out.lower()
+    @pytest.mark.parametrize("command", list(SUBCOMMANDS))
+    def test_help_prints_the_explanation(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        # argparse rewraps the text, also at hyphens, so compare it without spaces
+        out = "".join(capsys.readouterr().out.split())
+        assert "".join(cli.EXPLANATIONS[command].split()) in out
 
     def test_given_grid_must_match_the_input_file(self, tmp_path, capsys):
         s, prob = tmp_path / "s.json", tmp_path / "problem.json"
@@ -865,13 +869,13 @@ class TestMalformedDocuments:
             {**_PROBLEM_DOC, "hidden": [0.7, 2.2],
              "observed": [None, [0, 0], None, [0, 0]]}))
         assert run(["recover", "--problem-file", str(src), "--no-oracle"]) == 2
-        assert "hidden entry 0.7 is not an integer index" in capsys.readouterr().err
+        assert "hidden entry 0.7 is not an integer" in capsys.readouterr().err
 
     def test_fractional_set_member(self, tmp_path, capsys):
         src = tmp_path / "s.json"
         src.write_text(json.dumps({"modulus": 8, "dim": 1, "members": [1.5, 3]}))
         assert run(["phi-stats", "--set-file", str(src)]) == 2
-        assert "members entry 1.5 is not an integer index" in capsys.readouterr().err
+        assert "members entry 1.5 is not an integer" in capsys.readouterr().err
 
     def test_infinite_set_member(self, tmp_path, capsys):
         src = tmp_path / "s.json"
@@ -900,3 +904,78 @@ class TestMalformedDocuments:
                                    field: None}))
         assert run(["phi-stats", "--set-file", str(src)]) == 2
         assert "malformed set document" in capsys.readouterr().err
+
+
+_SWEEP_DOCUMENTS = {
+    "signal": {"modulus": 8, "dim": 1, "domain": "space",
+               "values": [[1.0, 0.0]] + [[0.0, 0.0]] * 7},
+    "set": {"modulus": 4, "dim": 1, "members": [1, 3]},
+    # the point mass at 0 on 8x1 with the pair {1, 7} hidden
+    "problem": {"grid": {"N": 8, "d": 1}, "p": 2.0, "delta": 1.0, "c_size": 0.25,
+                "hidden": [1, 7],
+                "observed": [None if i in (1, 7) else [8 ** -0.5, 0.0] for i in range(8)]},
+}
+
+# (document, path to the field, whether the field holds an integer)
+_SWEEP_FIELDS = [
+    ("signal", ("modulus",), True),
+    ("signal", ("dim",), True),
+    ("signal", ("values", 0), False),
+    ("signal", ("values", 0, 1), False),
+    ("set", ("modulus",), True),
+    ("set", ("dim",), True),
+    ("set", ("members", 0), True),
+    ("problem", ("grid", "N"), True),
+    ("problem", ("grid", "d"), True),
+    ("problem", ("p",), False),
+    ("problem", ("delta",), False),
+    ("problem", ("c_size",), False),
+    ("problem", ("hidden", 0), True),
+    ("problem", ("observed", 0), False),
+    ("problem", ("observed", 0, 1), False),
+]
+
+_SWEEP_VALUES = {"1e400": math.inf, "-1e400": -math.inf, "nan": math.nan,
+                 "string": "x", "list": [], "object": {}}
+
+
+def _sweep_argv(doc, src, out) -> list[str]:
+    """The command that reads a document of kind doc from src."""
+    return {
+        "signal": ["transform", "--input", str(src), "--output", str(out)],
+        "set": ["phi-stats", "--set-file", str(src)],
+        "problem": ["recover", "--problem-file", str(src), "--no-oracle"],
+    }[doc]
+
+
+def _sweep_cases():
+    for doc, path, integer in _SWEEP_FIELDS:
+        values = {**_SWEEP_VALUES, **({"8.5": 8.5} if integer else {})}
+        for label, value in values.items():
+            name = "-".join([doc, *map(str, path), label])
+            yield pytest.param(doc, path, value, id=name)
+
+
+@pytest.mark.parametrize("doc, path, value", list(_sweep_cases()))
+def test_malformed_field_is_one_error_line(tmp_path, capsys, doc, path, value):
+    """Each malformed field of each document kind exits 2 with one error line."""
+    data = json.loads(json.dumps(_SWEEP_DOCUMENTS[doc]))
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps(data))  # json writes inf as Infinity and reads it back
+    assert run(_sweep_argv(doc, src, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("doc", list(_SWEEP_DOCUMENTS))
+def test_sweep_documents_are_well_formed(tmp_path, doc):
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps(_SWEEP_DOCUMENTS[doc]))
+    assert run(_sweep_argv(doc, src, out)) == 0
